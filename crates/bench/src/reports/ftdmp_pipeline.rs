@@ -2,25 +2,29 @@
 //! over real loopback `PipeStoreServer`s with one deliberately slow peer,
 //! producing `BENCH_ftdmp_pipeline.json`.
 //!
-//! The slow store sleeps per *extracted row* (a genuinely slow device),
-//! so the barrier schedule pays its full shard every round while the
-//! pipelined schedule keeps only a small in-flight window there and lets
-//! the placement-map replica steal the rest. `NDPIPE_THREADS` is pinned
-//! to 1 during measurement so per-server forward passes are serial and
-//! the reported speedup is schedule overlap plus stealing, not the GEMM
-//! pool racing itself. Barrier and pipelined sweeps are interleaved per
-//! repeat; each path reports its best sweep.
+//! Both are the one FT-DMP scheduler. The barrier is its `S = 0` setting
+//! with one micro-batch per run slice (`micro_batch: usize::MAX`), run as
+//! one `rounds = 1` job per round; the artifact records that it neither
+//! stole nor ran ahead. The slow store sleeps per *extracted row* (a
+//! genuinely slow device), so the barrier schedule pays its full shard
+//! every round while the pipelined schedule keeps only a small in-flight
+//! window there and lets the placement-map replica steal the rest.
+//! `NDPIPE_THREADS` is pinned to 1 during measurement so per-server
+//! forward passes are serial and the reported speedup is schedule overlap
+//! plus stealing, not the GEMM pool racing itself. Barrier and pipelined
+//! sweeps are interleaved per repeat; each path reports its best sweep.
 //!
 //! Besides the speedup the artifact records the two acceptance facts the
-//! schedule is sold on: `S = 0` bit-identity against the barrier
-//! schedule, and the accuracy ordering Base ≥ NDPipe > Outdated (Base is
-//! the Tuner's full-precision master, NDPipe a store replica rebuilt
-//! from 8-bit Check-N-Run deltas — ties allowed — and Outdated the
-//! never-fine-tuned initial model).
+//! schedule is sold on: `S = 0` over sockets is bit-identical to the
+//! in-process run-at-a-time oracle (`ftdmp_fine_tune_reference`), and the
+//! accuracy ordering Base ≥ NDPipe > Outdated (Base is the Tuner's
+//! full-precision master, NDPipe a store replica rebuilt from 8-bit
+//! Check-N-Run deltas — ties allowed — and Outdated the never-fine-tuned
+//! initial model).
 
 use crate::util::{fmt, Report};
 use dnn::{Mlp, TrainConfig, Trainer};
-use ndpipe::ftdmp::FtdmpConfig;
+use ndpipe::ftdmp::{ftdmp_fine_tune_reference, FtdmpConfig};
 use ndpipe::rpc::{Cluster, ConnectOptions, FailurePolicy, PipeStoreServer, ServerConfig};
 use ndpipe::{PipeStore, PlacementMap, Tuner};
 use ndpipe_data::{ClassUniverse, LabeledDataset};
@@ -48,7 +52,7 @@ pub struct PipelineParams {
     /// Rows per extraction micro-batch (0 = auto).
     pub micro_batch: usize,
     /// Staleness bound for the pipelined path (the barrier path is S=0
-    /// by construction).
+    /// with one micro-batch per run slice).
     pub staleness: usize,
     /// Fine-tuning rounds per sweep (each round ends in Check-N-Run
     /// delta distribution).
@@ -136,6 +140,10 @@ pub struct PipelineMeasurements {
     pub rows_per_peer: usize,
     /// Seconds per barrier sweep (`rounds` run-at-a-time jobs), in order.
     pub barrier_runs: Vec<f64>,
+    /// Whether every barrier job ran with zero steals and zero stale
+    /// steps — the check that `S = 0` with one micro-batch per slice
+    /// really is the barrier schedule.
+    pub barrier_no_overlap: bool,
     /// Seconds per pipelined sweep (one `S ≥ 1` pipelined job covering
     /// the same rounds), in order.
     pub pipelined_runs: Vec<f64>,
@@ -147,8 +155,9 @@ pub struct PipelineMeasurements {
     pub stale_steps: usize,
     /// Seconds the Tuner idled waiting for features (last sweep).
     pub bubble_secs: f64,
-    /// Whether an `S = 0` pipelined job reproduced the barrier schedule
-    /// bit for bit (losses, example counts, final weights).
+    /// Whether an `S = 0` pipelined job over sockets reproduced the
+    /// in-process run-at-a-time oracle bit for bit (losses, example
+    /// counts, final weights).
     pub s0_bit_identical: bool,
     /// Top-1 of the Tuner's full-precision master after fine-tuning.
     pub base_top1: f64,
@@ -300,7 +309,8 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
     let quorum = p.peers.saturating_sub(1).max(1);
     let delay = Duration::from_micros(p.slow_row_delay_us);
 
-    // Oracle first: S = 0 pipelined vs the barrier schedule, bit for bit,
+    // Oracle first: S = 0 pipelined over sockets vs the in-process
+    // run-at-a-time reference on clones of the same shards, bit for bit,
     // on a healthy fleet (no straggler — this checks semantics, not
     // speed, and one round keeps it cheap).
     let s0 = FtdmpConfig {
@@ -309,12 +319,13 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
     };
     let mut ref_tuner = Tuner::new(model.clone(), train);
     let mut ref_rng = StdRng::seed_from_u64(9_201);
-    let (servers, addrs) = spawn_fleet(&shards, &map, None);
-    let cluster = connect(&addrs, &map, quorum);
-    let reference = cluster
-        .ftdmp_fine_tune_with(&mut ref_tuner, &s0, &mut ref_rng, Some(&map))
-        .expect("barrier oracle job");
-    drain(cluster, servers);
+    let mut ref_stores: Vec<PipeStore> = shards
+        .iter()
+        .enumerate()
+        .map(|(i, shard)| PipeStore::new(i, shard.clone()))
+        .collect();
+    let reference = ftdmp_fine_tune_reference(&mut ref_tuner, &mut ref_stores, &s0, &mut ref_rng)
+        .expect("in-process oracle job");
 
     let mut s0_tuner = Tuner::new(model.clone(), train);
     let mut s0_rng = StdRng::seed_from_u64(9_201);
@@ -324,15 +335,20 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
         .ftdmp_fine_tune_pipelined(&mut s0_tuner, &s0, 1, &mut s0_rng, Some(&map))
         .expect("pipelined oracle job");
     drain(cluster, servers);
-    let s0_bit_identical = reference.failures.is_empty()
-        && oracle.failures.is_empty()
-        && reference.report.run_losses == oracle.report.run_losses
-        && reference.report.examples == oracle.report.examples
+    let s0_bit_identical = oracle.failures.is_empty()
+        && reference.run_losses == oracle.report.run_losses
+        && reference.examples == oracle.report.examples
         && ref_tuner.model().to_bytes() == s0_tuner.model().to_bytes();
 
     // Timed sweeps: interleave barrier and pipelined, fresh fleet and
     // fresh seeds each sweep so neither path warms the other.
+    let barrier = FtdmpConfig {
+        micro_batch: usize::MAX,
+        staleness: 0,
+        ..ft
+    };
     let mut barrier_runs = Vec::with_capacity(p.repeats);
+    let mut barrier_no_overlap = true;
     let mut pipelined_runs = Vec::with_capacity(p.repeats);
     let mut micro_batches = 0;
     let mut steals = 0;
@@ -349,9 +365,11 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
         let t = Instant::now();
         for _ in 0..p.rounds {
             let out = cluster
-                .ftdmp_fine_tune_with(&mut tuner, &ft, &mut sweep_rng, Some(&map))
+                .ftdmp_fine_tune_pipelined(&mut tuner, &barrier, 1, &mut sweep_rng, Some(&map))
                 .expect("barrier sweep");
             assert!(out.failures.is_empty(), "barrier: {:?}", out.failures);
+            let sched = out.report.schedule;
+            barrier_no_overlap &= sched.steals == 0 && sched.stale_steps == 0;
         }
         barrier_runs.push(t.elapsed().as_secs_f64());
         drain(cluster, servers);
@@ -395,6 +413,7 @@ fn measure_pinned(p: &PipelineParams) -> PipelineMeasurements {
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         rows_per_peer,
         barrier_runs,
+        barrier_no_overlap,
         pipelined_runs,
         micro_batches,
         steals,
@@ -456,6 +475,10 @@ pub fn to_json(m: &PipelineMeasurements) -> String {
     s.push_str(&format!("  \"speedup\": {:.3},\n", m.speedup()));
     s.push_str(&format!("  \"pass_speedup_bar\": {},\n", m.pass_speedup()));
     s.push_str(&format!("  \"s0_bit_identical\": {},\n", m.s0_bit_identical));
+    s.push_str(&format!(
+        "  \"barrier_no_overlap\": {},\n",
+        m.barrier_no_overlap
+    ));
     s.push_str(&format!("  \"micro_batches\": {},\n", m.micro_batches));
     s.push_str(&format!("  \"steals\": {},\n", m.steals));
     s.push_str(&format!("  \"stale_steps\": {},\n", m.stale_steps));
@@ -529,8 +552,10 @@ pub fn render(m: &PipelineMeasurements) -> String {
         if m.pass_speedup() { "PASS" } else { "FAIL" }
     ));
     r.note(&format!(
-        "S=0 bit-identical: {}; accuracy base {:.3} >= ndpipe {:.3} > outdated {:.3}: {}",
+        "S=0 bit-identical to the in-process oracle: {}; barrier without steals or \
+         stale steps: {}; accuracy base {:.3} >= ndpipe {:.3} > outdated {:.3}: {}",
         if m.s0_bit_identical { "yes" } else { "NO" },
+        if m.barrier_no_overlap { "yes" } else { "NO" },
         m.base_top1,
         m.ndpipe_top1,
         m.outdated_top1,
@@ -568,6 +593,7 @@ mod tests {
         assert!(m.pipelined_secs() > 0.0);
         assert!(m.speedup().is_finite());
         assert!(m.s0_bit_identical, "S=0 oracle diverged");
+        assert!(m.barrier_no_overlap, "the S=0 barrier stole or ran ahead");
         assert!(m.micro_batches > 0);
         assert!(m.base_top1 >= 0.0 && m.outdated_top1 >= 0.0);
 
@@ -580,6 +606,7 @@ mod tests {
             "\"speedup\"",
             "\"pass_speedup_bar\"",
             "\"s0_bit_identical\"",
+            "\"barrier_no_overlap\"",
             "\"steals\"",
             "\"stale_steps\"",
             "\"accuracy_ordering_ok\"",

@@ -314,7 +314,7 @@ impl RemotePipeStore {
         (self.sent_bytes, self.recv_bytes)
     }
 
-    fn call(&mut self, req: &Request) -> Result<Reply, RpcError> {
+    pub(crate) fn call(&mut self, req: &Request) -> Result<Reply, RpcError> {
         if self.pending > 0 {
             // A blocking call would read a pipelined reply as its own.
             return Err(RpcError::Protocol(
@@ -388,18 +388,8 @@ impl RemotePipeStore {
         self.expect_ack(&Request::InstallModel(model.to_bytes()))
     }
 
-    /// Installs an already-serialized model blob (lets a cluster fan-out
-    /// serialize the master once, not once per peer).
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors.
-    pub fn install_model_bytes(&mut self, model: &[u8]) -> Result<(), RpcError> {
-        self.expect_ack(&Request::InstallModel(model.to_vec()))
-    }
-
     /// Asks the store to extract features for pipeline run `run` of
-    /// `n_run`, returning `(features, labels)`.
+    /// `n_run` of its own shard, returning `(features, labels)`.
     ///
     /// # Errors
     ///
@@ -409,12 +399,7 @@ impl RemotePipeStore {
         run: u32,
         n_run: u32,
     ) -> Result<(Tensor, Vec<usize>), RpcError> {
-        match self.call(&Request::ExtractFeatures { run, n_run })? {
-            Reply::Features { features, labels } => {
-                Ok((features, labels.into_iter().map(|l| l as usize).collect()))
-            }
-            _ => Err(RpcError::Protocol("expected features")),
-        }
+        self.extract_slice(self.store_id, run, n_run, 0, 1)
     }
 
     /// Runs near-data offline inference; only `(photo, label)` pairs come
@@ -439,15 +424,6 @@ impl RemotePipeStore {
         self.expect_ack(&Request::ApplyDelta(delta.to_bytes()))
     }
 
-    /// Ships an already-serialized Check-N-Run delta blob.
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors.
-    pub fn apply_delta_bytes(&mut self, delta: &[u8]) -> Result<(), RpcError> {
-        self.expect_ack(&Request::ApplyDelta(delta.to_vec()))
-    }
-
     /// Fetches the store's shard metadata: example/class counts plus the
     /// math policy and kernel family its FE paths run under.
     ///
@@ -455,10 +431,7 @@ impl RemotePipeStore {
     ///
     /// Socket/protocol/remote errors.
     pub fn describe(&mut self) -> Result<ShardDesc, RpcError> {
-        match self.call(&Request::Describe)? {
-            Reply::ShardInfo(desc) => Ok(desc),
-            _ => Err(RpcError::Protocol("expected shard info")),
-        }
+        self.describe_node(self.store_id)
     }
 
     /// Scrapes the store's telemetry registry: one point-in-time
@@ -528,27 +501,6 @@ impl RemotePipeStore {
         match self.call(&Request::ListPhotos)? {
             Reply::PhotoIds(ids) => Ok(ids),
             _ => Err(RpcError::Protocol("expected photo ids")),
-        }
-    }
-
-    /// Extracts features for run `run` of `n_run` over the replica
-    /// shard of placement node `node` — the mid-sweep reroute call.
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol/remote errors (no replica shard for `node` is a
-    /// remote error).
-    pub fn extract_features_for(
-        &mut self,
-        node: u64,
-        run: u32,
-        n_run: u32,
-    ) -> Result<(Tensor, Vec<usize>), RpcError> {
-        match self.call(&Request::ExtractFeaturesFor { node, run, n_run })? {
-            Reply::Features { features, labels } => {
-                Ok((features, labels.into_iter().map(|l| l as usize).collect()))
-            }
-            _ => Err(RpcError::Protocol("expected features")),
         }
     }
 

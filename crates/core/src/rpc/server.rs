@@ -14,16 +14,16 @@
 //! The session cap is a real concurrency cap, not a thread cap: the
 //! default [`ServerConfig::max_sessions`] admits thousands of idle
 //! sessions because each one costs a slab slot and two buffers, not a
-//! stack. [`serve_session`] remains as the blocking, single-session,
-//! post-handshake building block.
+//! stack.
 
 use crate::checknrun::ModelDelta;
+use crate::ftdmp::Slice;
 use crate::npe::engine::EngineConfig;
 use crate::online::BatchPolicy;
 use crate::pipestore::PipeStore;
 use crate::rpc::sys::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::rpc::wire::{
-    frame_bytes, read_request, write_reply, FrameDecoder, Handshake, Reply, Request, ShardDesc,
+    frame_bytes, FrameDecoder, Handshake, Reply, Request, ShardDesc,
     FEATURE_DELTAS, FEATURE_METRICS, FEATURE_MULTI_SESSION, PROTOCOL_VERSION,
 };
 use crate::rpc::RpcError;
@@ -32,7 +32,7 @@ use dnn::Mlp;
 use ndpipe_data::PhotoId;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -140,92 +140,6 @@ fn greet(hs: &Handshake, store_id: u64) -> Result<Greeting, RpcError> {
     }
 }
 
-/// The blocking post-handshake request loop, kept for the
-/// single-session [`serve_session`] building block (the concurrent
-/// server uses the event loop instead).
-fn session_loop<R: Read, W: Write>(
-    registry: &telemetry::Registry,
-    reader: &mut R,
-    writer: &mut W,
-    mut with_store: impl FnMut(Request) -> Option<Reply>,
-) -> Result<(), RpcError> {
-    loop {
-        let (request, bytes_in) = match read_request(reader) {
-            Ok(r) => r,
-            Err(RpcError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                return Ok(()); // peer hung up
-            }
-            Err(e) => return Err(e),
-        };
-        let op = request.op_name();
-        let record = telemetry::enabled();
-        let timer = if record {
-            registry
-                .counter_with(
-                    "ndpipe_rpc_server_requests_total",
-                    &[("op", op)],
-                    "requests handled by this store's RPC server",
-                )
-                .inc();
-            registry
-                .counter(
-                    "ndpipe_rpc_server_bytes_read_total",
-                    "request bytes read off the wire",
-                )
-                .add(bytes_in as u64);
-            Some(
-                registry
-                    .histogram_with(
-                        "ndpipe_rpc_server_op_seconds",
-                        &[("op", op)],
-                        "server-side handling latency per operation",
-                    )
-                    .start_timer(),
-            )
-        } else {
-            None
-        };
-        let reply = with_store(request);
-        let done = reply.is_none();
-        let bytes_out = write_reply(writer, &reply.unwrap_or(Reply::Ack))?;
-        if let Some(t) = timer {
-            t.observe_and_disarm();
-            registry
-                .counter(
-                    "ndpipe_rpc_server_bytes_written_total",
-                    "reply bytes put on the wire",
-                )
-                .add(bytes_out as u64);
-        }
-        if done {
-            return Ok(());
-        }
-    }
-}
-
-/// Serves one already-handshaken Tuner session over `stream`, blocking
-/// the calling thread. Applies [`SERVER_IO_TIMEOUT`] to the socket and
-/// records per-operation request counts, latencies and wire bytes into
-/// the store's [`PipeStore::metrics`] registry. Returns cleanly when the
-/// Tuner sends `Shutdown` or closes the connection.
-///
-/// # Errors
-///
-/// Socket/protocol errors (including a peer idle past the timeout).
-/// Application-level failures (e.g. applying a mismatched delta) are
-/// reported to the peer as `Error` replies and do not tear down the
-/// session.
-pub fn serve_session(store: &RwLock<PipeStore>, stream: TcpStream) -> Result<(), RpcError> {
-    stream.set_read_timeout(Some(SERVER_IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(SERVER_IO_TIMEOUT))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let registry = Arc::clone(store.read().metrics());
-    session_loop(&registry, &mut reader, &mut writer, |req| {
-        handle(store, req)
-    })
-}
-
 /// Handles one request; `None` means the session should end (after the
 /// final Ack). Read-mostly operations take the store's read lock so
 /// parallel workers can overlap; `InstallModel` and `ApplyDelta` take
@@ -244,30 +158,6 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             }
             Err(e) => Reply::Error(format!("bad model blob: {e}")),
         },
-        Request::ExtractFeatures { run, n_run } => {
-            if n_run == 0 || run >= n_run {
-                return Some(Reply::Error("bad run index".to_string()));
-            }
-            let store = store.read();
-            if store.model().is_none() {
-                return Some(Reply::Error("no model installed".to_string()));
-            }
-            let n = store.shard_len();
-            let lo = run as usize * n / n_run as usize;
-            let hi = (run as usize + 1) * n / n_run as usize;
-            if lo >= hi {
-                return Some(Reply::Error("empty run slice".to_string()));
-            }
-            // The batched NPE path: bit-identical to the serial
-            // reference, and it feeds the store's pipeline stats.
-            let cfg = EngineConfig::default();
-            // ndlint: allow(blocking, reason = "the only sleep on this path is the opt-in straggler simulation delay (PipeStore::set_extract_delay), never set on production paths; extraction itself must hold the store guard")
-            let ((features, labels), _stats) = store.extract_features_batched(lo..hi, &cfg);
-            Reply::Features {
-                features,
-                labels: labels.into_iter().map(|l| l as u32).collect(),
-            }
-        }
         Request::OfflineInfer => {
             let store = store.read();
             if store.model().is_none() {
@@ -299,15 +189,6 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             }
             Err(e) => Reply::Error(format!("bad delta blob: {e}")),
         },
-        Request::Describe => {
-            let store = store.read();
-            Reply::ShardInfo(ShardDesc {
-                examples: store.shard_len() as u64,
-                classes: store.shard().num_classes() as u32,
-                math: store.math_policy(),
-                kernel: tensor::linalg::selected_kernel(store.math_policy()),
-            })
-        }
         Request::Infer { features } => infer_one(&store.read(), &features),
         Request::Metrics => Reply::Metrics(store.read().metrics().snapshot()),
         // ndlint: allow(blocking, reason = "this resolves to PipeStore::placement (clones the cached map); the widened chain through Client::placement is a different receiver type")
@@ -331,32 +212,6 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             None => Reply::Error(format!("photo {id} not stored here")),
         },
         Request::ListPhotos => Reply::PhotoIds(store.read().photo_ids()),
-        Request::ExtractFeaturesFor { node, run, n_run } => {
-            if n_run == 0 || run >= n_run {
-                return Some(Reply::Error("bad run index".to_string()));
-            }
-            let store = store.read();
-            if store.model().is_none() {
-                return Some(Reply::Error("no model installed".to_string()));
-            }
-            let Some(shard) = store.shard_for(node) else {
-                return Some(Reply::Error(format!("no replica shard for node {node}")));
-            };
-            let n = shard.len();
-            let lo = run as usize * n / n_run as usize;
-            let hi = (run as usize + 1) * n / n_run as usize;
-            if lo >= hi {
-                return Some(Reply::Error("empty run slice".to_string()));
-            }
-            // ndlint: allow(blocking, reason = "the only sleep on this path is the opt-in straggler simulation delay (PipeStore::set_extract_delay), never set on production paths; extraction itself must hold the store guard")
-            match store.extract_features_batched_for(node, lo..hi, &EngineConfig::default()) {
-                Some(((features, labels), _stats)) => Reply::Features {
-                    features,
-                    labels: labels.into_iter().map(|l| l as u32).collect(),
-                },
-                None => Reply::Error(format!("no replica shard for node {node}")),
-            }
-        }
         Request::ExtractSlice {
             node,
             run,
@@ -377,19 +232,19 @@ fn handle(store: &RwLock<PipeStore>, request: Request) -> Option<Reply> {
             let Some(shard) = store.shard_for(node) else {
                 return Some(Reply::Error(format!("no replica shard for node {node}")));
             };
-            let n = shard.len();
-            let lo = run as usize * n / n_run as usize;
-            let hi = (run as usize + 1) * n / n_run as usize;
-            // Micro-batch sub-slices partition [lo, hi) contiguously, so
-            // concatenating replies in mb order is bit-identical to one
-            // whole-run extraction.
-            let mlo = lo + mb as usize * (hi - lo) / n_mb as usize;
-            let mhi = lo + (mb as usize + 1) * (hi - lo) / n_mb as usize;
-            if mlo >= mhi {
+            let rows = Slice {
+                node: node as usize,
+                run: run as usize,
+                n_run: n_run as usize,
+                mb: mb as usize,
+                n_mb: n_mb as usize,
+            }
+            .rows(shard.len());
+            if rows.is_empty() {
                 return Some(Reply::Error("empty micro-batch slice".to_string()));
             }
             // ndlint: allow(blocking, reason = "the only sleep on this path is the opt-in straggler simulation delay (PipeStore::set_extract_delay), never set on production paths; extraction itself must hold the store guard")
-            match store.extract_features_batched_for(node, mlo..mhi, &EngineConfig::default()) {
+            match store.extract_features_batched_for(node, rows, &EngineConfig::default()) {
                 Some(((features, labels), _stats)) => Reply::Features {
                     features,
                     labels: labels.into_iter().map(|l| l as u32).collect(),
@@ -1627,6 +1482,17 @@ mod tests {
         PipeStore::new(0, LabeledDataset::new(rows, labels, 3))
     }
 
+    /// Run `run` of `n_run` of the test store's own shard, whole.
+    fn whole_run(run: u32, n_run: u32) -> Request {
+        Request::ExtractSlice {
+            node: 0,
+            run,
+            n_run,
+            mb: 0,
+            n_mb: 1,
+        }
+    }
+
     fn shared_for(store: PipeStore) -> Arc<Shared> {
         let registry = Arc::clone(store.metrics());
         Arc::new(Shared {
@@ -1656,7 +1522,7 @@ mod tests {
     fn handle_rejects_work_without_model() {
         let mut rng = StdRng::seed_from_u64(1);
         let s = RwLock::new(store(&mut rng));
-        match handle(&s, Request::ExtractFeatures { run: 0, n_run: 1 }) {
+        match handle(&s, whole_run(0, 1)) {
             Some(Reply::Error(msg)) => assert!(msg.contains("no model")),
             other => panic!("unexpected {other:?}"),
         }
@@ -1679,7 +1545,7 @@ mod tests {
     fn handle_describe_and_install() {
         let mut rng = StdRng::seed_from_u64(2);
         let s = RwLock::new(store(&mut rng));
-        match handle(&s, Request::Describe) {
+        match handle(&s, Request::DescribeNode(0)) {
             Some(Reply::ShardInfo(desc)) => {
                 assert_eq!(desc.examples, 9);
                 assert_eq!(desc.classes, 3);
@@ -1695,7 +1561,7 @@ mod tests {
             handle(&s, Request::InstallModel(model.to_bytes())),
             Some(Reply::Ack)
         );
-        match handle(&s, Request::ExtractFeatures { run: 0, n_run: 3 }) {
+        match handle(&s, whole_run(0, 3)) {
             Some(Reply::Features { features, labels }) => {
                 assert_eq!(features.dims()[0], labels.len());
                 assert_eq!(features.dims()[1], 6);
@@ -1717,7 +1583,7 @@ mod tests {
             Some(Reply::Error(_))
         ));
         assert!(matches!(
-            handle(&s, Request::ExtractFeatures { run: 5, n_run: 3 }),
+            handle(&s, whole_run(5, 3)),
             Some(Reply::Error(_))
         ));
     }
@@ -1733,7 +1599,7 @@ mod tests {
             Some(Reply::Ack)
         );
         // An extraction run populates NPE metrics in the store registry.
-        let _ = handle(&s, Request::ExtractFeatures { run: 0, n_run: 1 });
+        let _ = handle(&s, whole_run(0, 1));
         match handle(&s, Request::Metrics) {
             Some(Reply::Metrics(snap)) => {
                 assert!(!snap.is_empty(), "store registry must have NPE metrics");

@@ -18,7 +18,9 @@ pub const MAX_FRAME: usize = 256 * 1024 * 1024;
 /// Wire protocol revision. Bump on any frame-layout change; the
 /// handshake refuses mismatched peers before any payload moves.
 /// v2: `ShardInfo` carries the store's math policy and kernel family.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v3: the whole-run, replica-shard and own-shard describe ops are gone;
+/// `ExtractSlice` and `DescribeNode` cover them.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Feature bit: the peer serves telemetry scrapes (`Metrics`).
 pub const FEATURE_METRICS: u64 = 1 << 0;
@@ -90,19 +92,10 @@ impl PhotoRecord {
 pub enum Request {
     /// Install a full model replica (serialized `Mlp`).
     InstallModel(Vec<u8>),
-    /// Extract features for pipeline run `run` of `n_run`.
-    ExtractFeatures {
-        /// Zero-based run index.
-        run: u32,
-        /// Total pipeline runs.
-        n_run: u32,
-    },
     /// Run offline inference over the local shard.
     OfflineInfer,
     /// Apply a Check-N-Run delta to the local replica.
     ApplyDelta(Vec<u8>),
-    /// Report shard metadata.
-    Describe,
     /// Scrape the store's telemetry registry.
     Metrics,
     /// Classify one feature row with the store's published model
@@ -127,22 +120,11 @@ pub enum Request {
     GetPhoto(u64),
     /// List the photo ids this store holds (rebalance planning).
     ListPhotos,
-    /// Extract features for run `run` of `n_run` over the *replica
-    /// shard* of node `node` instead of the store's own shard — the
-    /// mid-sweep reroute path when `node` died.
-    ExtractFeaturesFor {
-        /// Whose shard to extract (a placement node id).
-        node: u64,
-        /// Zero-based run index.
-        run: u32,
-        /// Total pipeline runs.
-        n_run: u32,
-    },
-    /// Streaming micro-batch extraction: micro-batch `mb` of `n_mb`
-    /// within run `run` of `n_run`, over node `node`'s shard (the
-    /// store's own when `node` is its id, otherwise a replica — which
-    /// makes this single op both the pipelined extract *and* the
-    /// straggler-steal path).
+    /// Micro-batch extraction: micro-batch `mb` of `n_mb` within run
+    /// `run` of `n_run`, over node `node`'s shard (the store's own when
+    /// `node` is its id, otherwise a replica — which makes this single op
+    /// the whole-run extract (`mb: 0, n_mb: 1`), the pipelined extract
+    /// *and* the straggler-steal and reroute path).
     ExtractSlice {
         /// Whose shard to extract (a placement node id).
         node: u64,
@@ -156,8 +138,8 @@ pub enum Request {
         n_mb: u32,
     },
     /// Report shard metadata for node `node` (own shard or a held
-    /// replica) — how the pipelined scheduler sizes micro-batch counts
-    /// for shards it must steal.
+    /// replica) — how the Tuner validates a store's shard and sizes the
+    /// micro-batch counts of shards it must steal.
     DescribeNode(u64),
     /// Close the session.
     Shutdown,
@@ -169,10 +151,8 @@ impl Request {
     pub fn op_name(&self) -> &'static str {
         match self {
             Request::InstallModel(_) => "install_model",
-            Request::ExtractFeatures { .. } => "extract_features",
             Request::OfflineInfer => "offline_infer",
             Request::ApplyDelta(_) => "apply_delta",
-            Request::Describe => "describe",
             Request::Metrics => "metrics",
             Request::Infer { .. } => "infer",
             Request::Placement => "placement",
@@ -180,7 +160,6 @@ impl Request {
             Request::PutPhoto(_) => "put_photo",
             Request::GetPhoto(_) => "get_photo",
             Request::ListPhotos => "list_photos",
-            Request::ExtractFeaturesFor { .. } => "extract_features_for",
             Request::ExtractSlice { .. } => "extract_slice",
             Request::DescribeNode(_) => "describe_node",
             Request::Shutdown => "shutdown",
@@ -188,7 +167,7 @@ impl Request {
     }
 }
 
-/// Shard metadata reported by `Describe`/`DescribeNode`: how much data
+/// Shard metadata reported by `DescribeNode`: how much data
 /// the store holds for that node plus the numerical contract it is
 /// extracting features under. The Tuner uses `examples`/`classes` to
 /// size micro-batches and `math`/`kernel` to verify a fleet runs a
@@ -268,10 +247,8 @@ pub enum Handshake {
 }
 
 const TAG_INSTALL: u8 = 1;
-const TAG_EXTRACT: u8 = 2;
 const TAG_INFER: u8 = 3;
 const TAG_DELTA: u8 = 4;
-const TAG_DESCRIBE: u8 = 5;
 const TAG_SHUTDOWN: u8 = 6;
 const TAG_METRICS_REQ: u8 = 7;
 const TAG_INFER_ROW: u8 = 8;
@@ -280,7 +257,6 @@ const TAG_INSTALL_PLACEMENT: u8 = 10;
 const TAG_PUT_PHOTO: u8 = 11;
 const TAG_GET_PHOTO: u8 = 12;
 const TAG_LIST_PHOTOS: u8 = 13;
-const TAG_EXTRACT_FOR: u8 = 14;
 const TAG_EXTRACT_SLICE: u8 = 15;
 const TAG_DESCRIBE_NODE: u8 = 16;
 const TAG_HELLO: u8 = 32;
@@ -340,6 +316,9 @@ impl<'a> Cursor<'a> {
             .map_err(|_| RpcError::Protocol("payload truncated"))?;
         Ok(u64::from_le_bytes(b))
     }
+    fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
     fn finish(self) -> Result<(), RpcError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -353,15 +332,8 @@ impl Request {
     pub(crate) fn encode_body(&self) -> (u8, Vec<u8>) {
         match self {
             Request::InstallModel(m) => (TAG_INSTALL, m.clone()),
-            Request::ExtractFeatures { run, n_run } => {
-                let mut p = Vec::with_capacity(8);
-                put_u32(&mut p, *run);
-                put_u32(&mut p, *n_run);
-                (TAG_EXTRACT, p)
-            }
             Request::OfflineInfer => (TAG_INFER, Vec::new()),
             Request::ApplyDelta(d) => (TAG_DELTA, d.clone()),
-            Request::Describe => (TAG_DESCRIBE, Vec::new()),
             Request::Metrics => (TAG_METRICS_REQ, Vec::new()),
             Request::Infer { features } => {
                 let mut p = Vec::with_capacity(4 + features.len() * 4);
@@ -384,13 +356,6 @@ impl Request {
                 (TAG_GET_PHOTO, p)
             }
             Request::ListPhotos => (TAG_LIST_PHOTOS, Vec::new()),
-            Request::ExtractFeaturesFor { node, run, n_run } => {
-                let mut p = Vec::with_capacity(16);
-                put_u64(&mut p, *node);
-                put_u32(&mut p, *run);
-                put_u32(&mut p, *n_run);
-                (TAG_EXTRACT_FOR, p)
-            }
             Request::ExtractSlice {
                 node,
                 run,
@@ -418,19 +383,8 @@ impl Request {
     pub(crate) fn decode_body(tag: u8, payload: &[u8]) -> Result<Request, RpcError> {
         match tag {
             TAG_INSTALL => Ok(Request::InstallModel(payload.to_vec())),
-            TAG_EXTRACT => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let run = c.u32()?;
-                let n_run = c.u32()?;
-                c.finish()?;
-                Ok(Request::ExtractFeatures { run, n_run })
-            }
             TAG_INFER => Ok(Request::OfflineInfer),
             TAG_DELTA => Ok(Request::ApplyDelta(payload.to_vec())),
-            TAG_DESCRIBE => Ok(Request::Describe),
             TAG_METRICS_REQ => Ok(Request::Metrics),
             TAG_INFER_ROW => {
                 let mut c = Cursor {
@@ -475,17 +429,6 @@ impl Request {
                 Ok(Request::GetPhoto(id))
             }
             TAG_LIST_PHOTOS => Ok(Request::ListPhotos),
-            TAG_EXTRACT_FOR => {
-                let mut c = Cursor {
-                    buf: payload,
-                    pos: 0,
-                };
-                let node = c.u64()?;
-                let run = c.u32()?;
-                let n_run = c.u32()?;
-                c.finish()?;
-                Ok(Request::ExtractFeaturesFor { node, run, n_run })
-            }
             TAG_EXTRACT_SLICE => {
                 let mut c = Cursor {
                     buf: payload,
@@ -631,7 +574,8 @@ impl Reply {
                     pos: 0,
                 };
                 let n = c.u32()? as usize;
-                let mut pairs = Vec::with_capacity(n);
+                // 12 bytes per pair must still be present in the payload.
+                let mut pairs = Vec::with_capacity(n.min(c.remaining() / 12));
                 for _ in 0..n {
                     let id = c.u64()?;
                     let label = c.u32()?;
@@ -690,7 +634,7 @@ impl Reply {
                 };
                 let n = c.u32()? as usize;
                 // 8 bytes per id must still be present in the payload.
-                let mut ids = Vec::with_capacity(n.min(payload.len() / 8 + 1));
+                let mut ids = Vec::with_capacity(n.min(c.remaining() / 8));
                 for _ in 0..n {
                     ids.push(c.u64()?);
                 }
@@ -991,10 +935,8 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         roundtrip_req(Request::InstallModel(vec![1, 2, 3]));
-        roundtrip_req(Request::ExtractFeatures { run: 2, n_run: 3 });
         roundtrip_req(Request::OfflineInfer);
         roundtrip_req(Request::ApplyDelta(vec![9; 100]));
-        roundtrip_req(Request::Describe);
         roundtrip_req(Request::Metrics);
         roundtrip_req(Request::Infer {
             features: vec![0.5, -1.25, f32::MAX, 0.0],
@@ -1023,11 +965,6 @@ mod tests {
         roundtrip_req(Request::PutPhoto(sample_record()));
         roundtrip_req(Request::GetPhoto(u64::MAX));
         roundtrip_req(Request::ListPhotos);
-        roundtrip_req(Request::ExtractFeaturesFor {
-            node: 9,
-            run: 1,
-            n_run: 4,
-        });
         roundtrip_req(Request::ExtractSlice {
             node: 3,
             run: 1,
@@ -1040,6 +977,20 @@ mod tests {
         roundtrip_reply(Reply::Photo(sample_record()));
         roundtrip_reply(Reply::PhotoIds(vec![1, 2, 3, u64::MAX]));
         roundtrip_reply(Reply::PhotoIds(Vec::new()));
+    }
+
+    /// A `Labels` reply claiming 2^32 - 1 pairs in a 9-byte frame must
+    /// come back as an error, not size a 48 GiB vector from the count.
+    #[test]
+    fn nine_byte_labels_frame_is_an_error() {
+        let mut frame = 4u32.to_le_bytes().to_vec();
+        frame.push(TAG_LABELS);
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(frame.len(), 9);
+        assert!(matches!(
+            read_reply(&mut frame.as_slice()),
+            Err(RpcError::Protocol(_))
+        ));
     }
 
     #[test]
@@ -1206,7 +1157,7 @@ mod tests {
         // An old-protocol peer that skips the handshake and sends a
         // request first must fail fast, not misparse.
         let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Describe).expect("write");
+        write_request(&mut buf, &Request::DescribeNode(0)).expect("write");
         assert!(matches!(
             read_handshake(&mut buf.as_slice()),
             Err(RpcError::Protocol("expected handshake frame"))
@@ -1274,7 +1225,7 @@ mod tests {
     #[test]
     fn decoder_matches_blocking_codec_byte_at_a_time() {
         let reqs = vec![
-            Request::Describe,
+            Request::DescribeNode(7),
             Request::Infer {
                 features: vec![1.0, 2.0, 3.0],
             },
@@ -1332,11 +1283,9 @@ mod tests {
 
         fn arb_request() -> impl Strategy<Value = Request> {
             prop_oneof![
-                Just(Request::Describe),
                 Just(Request::Metrics),
                 Just(Request::OfflineInfer),
                 Just(Request::Shutdown),
-                (0u32..8, 1u32..8).prop_map(|(run, n_run)| Request::ExtractFeatures { run, n_run }),
                 proptest::collection::vec(any::<u8>(), 0..256).prop_map(Request::InstallModel),
                 proptest::collection::vec(any::<u8>(), 0..256).prop_map(Request::ApplyDelta),
                 proptest::collection::vec(-1e6f32..1e6, 0..64)
@@ -1344,12 +1293,6 @@ mod tests {
                 Just(Request::Placement),
                 Just(Request::ListPhotos),
                 any::<u64>().prop_map(Request::GetPhoto),
-                (any::<u64>(), 0u32..8, 1u32..8)
-                    .prop_map(|(node, run, n_run)| Request::ExtractFeaturesFor {
-                        node,
-                        run,
-                        n_run
-                    }),
                 (any::<u64>(), 0u32..8, 1u32..8, 0u32..8, 1u32..8).prop_map(
                     |(node, run, n_run, mb, n_mb)| Request::ExtractSlice {
                         node,

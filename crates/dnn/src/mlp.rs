@@ -348,11 +348,12 @@ impl Mlp {
     pub fn from_bytes(bytes: &[u8]) -> Result<Mlp, String> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            if *pos + n > bytes.len() {
-                return Err(format!("model blob truncated at byte {pos}", pos = *pos));
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
+            let end = pos
+                .checked_add(n)
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| format!("model blob truncated at byte {pos}", pos = *pos))?;
+            let s = &bytes[*pos..end];
+            *pos = end;
             Ok(s)
         };
         if take(&mut pos, 4)? != b"NDPM" {
@@ -368,7 +369,11 @@ impl Mlp {
         if n_layers == 0 || split >= n_layers {
             return Err("invalid layer count or split".to_string());
         }
-        let mut layers: Vec<Linear> = Vec::with_capacity(n_layers);
+        // Every layer needs at least its two dimension words, one weight
+        // and one bias: never reserve more layers than the blob can hold.
+        const MIN_LAYER_BYTES: usize = 16;
+        let mut layers: Vec<Linear> =
+            Vec::with_capacity(n_layers.min(bytes.len().saturating_sub(pos) / MIN_LAYER_BYTES));
         let mut rng = SerdeRng;
         for _ in 0..n_layers {
             let d_in = u32_at(&mut pos)? as usize;
@@ -387,13 +392,19 @@ impl Mlp {
                 }
             }
             let read_f32s = |pos: &mut usize, n: usize| -> Result<Vec<f32>, String> {
-                let raw = take(pos, n * 4)?;
+                let len = n
+                    .checked_mul(4)
+                    .ok_or_else(|| "layer too large".to_string())?;
+                let raw = take(pos, len)?;
                 Ok(raw
                     .chunks_exact(4)
                     .map(|c| f32::from_le_bytes(c.try_into().expect("fixed slice")))
                     .collect())
             };
-            let w = Tensor::from_vec(read_f32s(&mut pos, d_out * d_in)?, &[d_out, d_in]);
+            let weights = d_out
+                .checked_mul(d_in)
+                .ok_or_else(|| "layer too large".to_string())?;
+            let w = Tensor::from_vec(read_f32s(&mut pos, weights)?, &[d_out, d_in]);
             let b = Tensor::from_vec(read_f32s(&mut pos, d_out)?, &[d_out]);
             let mut layer = Linear::new(d_in, d_out, &mut rng);
             layer.set_weights(w, b);
@@ -601,5 +612,22 @@ mod tests {
         let mut bad_magic = bytes;
         bad_magic[0] = b'Z';
         assert!(Mlp::from_bytes(&bad_magic).is_err());
+    }
+
+    /// Header-only blobs with huge counts are truncation errors, not
+    /// allocations sized from the untrusted header.
+    #[test]
+    fn untrusted_counts_do_not_size_allocations() {
+        let mut twelve = b"NDPM".to_vec();
+        twelve.extend_from_slice(&u32::MAX.to_le_bytes());
+        twelve.extend_from_slice(&0u32.to_le_bytes());
+        assert!(Mlp::from_bytes(&twelve).is_err());
+
+        let mut huge_layer = twelve[..4].to_vec();
+        huge_layer.extend_from_slice(&1u32.to_le_bytes());
+        huge_layer.extend_from_slice(&0u32.to_le_bytes());
+        huge_layer.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge_layer.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Mlp::from_bytes(&huge_layer).is_err());
     }
 }

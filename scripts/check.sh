@@ -5,11 +5,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# Every test in the workspace, not just the root package's: the packed
+# GEMM and fast-math proptests, the ndlint fixtures, objstore recovery,
+# the codecs. Release, like the build above (the bench crate's tests run
+# accuracy experiments that crawl in debug).
+cargo test -q --release --workspace
 # The opt-in fast-math families must pass the same suite: NDPIPE_MATH=fast
 # flips the process-default MathPolicy, so every non-pinned GEMM in the
 # tests runs through the FMA/AVX-512 kernels.
-NDPIPE_MATH=fast cargo test -q
+NDPIPE_MATH=fast cargo test -q --release --workspace
 # Static pass: machine-readable report diffed against the checked-in
 # baseline (fails on new findings), archived next to the bench JSON,
 # plus the wall-clock budget artifact (< 5 s for the whole workspace).

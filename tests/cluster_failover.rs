@@ -83,7 +83,7 @@ fn quorum_survives_killed_peer() {
 
     // Round 1: every peer healthy.
     let r1 = cluster
-        .ftdmp_fine_tune(&mut tuner, &ft, &mut rng)
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, None)
         .expect("healthy round");
     assert_eq!(r1.peers_used, vec![0, 1, 2]);
     assert!(r1.failures.is_empty());
@@ -96,7 +96,7 @@ fn quorum_survives_killed_peer() {
     // Round 2: the quorum of two completes; the corpse is reported, not
     // fatal.
     let r2 = cluster
-        .ftdmp_fine_tune(&mut tuner, &ft, &mut rng)
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, None)
         .expect("quorum round with a dead peer");
     assert_eq!(r2.peers_used, vec![0, 1]);
     assert_eq!(r2.failures.len(), 1, "failures: {:?}", r2.failures);
@@ -143,7 +143,7 @@ fn strict_surfaces_peer_unavailable() {
     servers.remove(1).abort().expect("abort victim");
 
     let err = cluster
-        .ftdmp_fine_tune(&mut tuner, &ft, &mut rng)
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, None)
         .expect_err("strict must reject a dead peer");
     match err {
         ClusterError::Rejected { ok, failures, .. } => {
@@ -328,7 +328,7 @@ fn placement_reroutes_dead_peers_shard_mid_sweep() {
 
     // Healthy sweep: every shard served by its owner, no reroutes.
     let r1 = cluster
-        .ftdmp_fine_tune_with(&mut tuner, &ft, &mut rng, Some(&map))
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, Some(&map))
         .expect("healthy sweep");
     assert_eq!(r1.report.examples, train.len());
     assert_eq!(r1.reroutes, 0);
@@ -339,14 +339,23 @@ fn placement_reroutes_dead_peers_shard_mid_sweep() {
     let victim = 1usize;
     servers.remove(victim).abort().expect("abort victim");
     let r2 = cluster
-        .ftdmp_fine_tune_with(&mut tuner, &ft, &mut rng, Some(&map))
+        .ftdmp_fine_tune_pipelined(&mut tuner, &ft, 1, &mut rng, Some(&map))
         .expect("sweep with a dead replica");
     assert_eq!(
         r2.report.examples,
         train.len(),
         "dead peer's shard assignments were dropped"
     );
-    assert_eq!(r2.reroutes, ft.n_run as u64, "one reroute per run");
+    // Every micro-batch of every run slice of the victim's shard is
+    // served by its replica instead.
+    let n = shards[victim].len();
+    let victim_micro_batches: usize = (0..ft.n_run)
+        .map(|r| ft.micro_batches_for((r + 1) * n / ft.n_run - r * n / ft.n_run))
+        .sum();
+    assert_eq!(
+        r2.reroutes, victim_micro_batches as u64,
+        "one reroute per micro-batch of the dead peer's shard"
+    );
     assert!(r2.failures.iter().any(|f| f.index == victim));
 
     cluster.shutdown();

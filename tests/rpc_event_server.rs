@@ -162,8 +162,20 @@ fn malformed_request_body_gets_structured_error_and_session_survives() {
         other => panic!("expected structured error, got {other:?}"),
     }
 
-    // The session survived the bad body: a valid request still works.
-    write_request(&mut stream, &Request::Describe).expect("describe");
+    // A well-formed `InstallModel` whose 12-byte model header claims
+    // 2^32 - 1 layers: the server must refuse the blob, not size a layer
+    // table from the untrusted count.
+    let mut blob = b"NDPM".to_vec();
+    blob.extend_from_slice(&u32::MAX.to_le_bytes()); // layers
+    blob.extend_from_slice(&0u32.to_le_bytes()); // split
+    write_request(&mut stream, &Request::InstallModel(blob)).expect("send model");
+    match read_reply(&mut stream).expect("model reply").0 {
+        Reply::Error(msg) => assert!(msg.contains("bad model blob"), "unexpected: {msg}"),
+        other => panic!("expected structured error, got {other:?}"),
+    }
+
+    // The session survived both bad bodies: a valid request still works.
+    write_request(&mut stream, &Request::DescribeNode(0)).expect("describe");
     match read_reply(&mut stream).expect("describe reply").0 {
         Reply::ShardInfo { .. } => {}
         other => panic!("expected shard info, got {other:?}"),

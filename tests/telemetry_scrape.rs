@@ -53,7 +53,10 @@ fn single_store_scrape_round_trips_server_side_metrics() {
 
     assert!(!snapshot.is_empty(), "server registry came back empty");
     let describes = snapshot
-        .find_with("ndpipe_rpc_server_requests_total", &[("op", "describe")])
+        .find_with(
+            "ndpipe_rpc_server_requests_total",
+            &[("op", "describe_node")],
+        )
         .expect("describe counter present");
     match describes.value {
         telemetry::SampleValue::Counter(n) => assert_eq!(n, 2),
@@ -61,7 +64,7 @@ fn single_store_scrape_round_trips_server_side_metrics() {
     }
     // Latency histograms came across the wire with their observations.
     let lat = snapshot
-        .find_with("ndpipe_rpc_server_op_seconds", &[("op", "describe")])
+        .find_with("ndpipe_rpc_server_op_seconds", &[("op", "describe_node")])
         .expect("latency histogram present");
     match lat.value {
         telemetry::SampleValue::Histogram(ref h) => assert_eq!(h.count, 2),
