@@ -756,6 +756,9 @@ fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> Result<usize, Rp
     Ok(n)
 }
 
+/// Payload bytes [`read_frame`] reserves before any arrive.
+const READ_FRAME_INITIAL_CAPACITY: usize = 64 * 1024;
+
 fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), RpcError> {
     let mut head = [0u8; 5];
     r.read_exact(&mut head)?;
@@ -764,8 +767,13 @@ fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), RpcError> {
     if len > MAX_FRAME {
         return Err(RpcError::Protocol("frame too large"));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Grow with the bytes that actually arrive: a 5-byte header alone must
+    // not reserve up to MAX_FRAME.
+    let mut payload = Vec::with_capacity(len.min(READ_FRAME_INITIAL_CAPACITY));
+    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     Ok((tag, payload))
 }
 
@@ -1187,6 +1195,38 @@ mod tests {
             read_frame(&mut buf.as_slice()),
             Err(RpcError::Protocol("frame too large"))
         ));
+    }
+
+    #[test]
+    fn truncated_max_frame_fails_without_reserving_its_claim() {
+        /// Records the largest buffer `read_frame` asks it to fill: the
+        /// payload's reservation shows up there.
+        struct Source<'a> {
+            bytes: &'a [u8],
+            widest_read: usize,
+        }
+        impl Read for Source<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.widest_read = self.widest_read.max(buf.len());
+                self.bytes.read(buf)
+            }
+        }
+        let mut bytes = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        bytes.push(TAG_ACK);
+        bytes.extend_from_slice(&[7; 10]);
+        let mut src = Source {
+            bytes: &bytes,
+            widest_read: 0,
+        };
+        match read_frame(&mut src) {
+            Err(RpcError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("expected an EOF error, got {other:?}"),
+        }
+        assert!(
+            src.widest_read <= 1 << 20,
+            "read_frame reserved {} bytes for a 10-byte payload",
+            src.widest_read
+        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   code of RFC 1951 §3.2.6, falling back to *stored* blocks whenever
 //!   that would be smaller,
 //! - **decompression**: stored and fixed-Huffman blocks (everything the
-//!   compressor can emit).
+//!   compressor can emit), table-driven: a 64-bit bit buffer and one
+//!   9-bit lookup per literal/length symbol.
 //!
 //! The format on the wire is valid DEFLATE; an external `inflate` can
 //! decode it. Dynamic-Huffman decoding is intentionally out of scope —
@@ -112,11 +113,7 @@ impl BitWriter {
 
     /// Writes an `n`-bit Huffman code MSB-first, per RFC 1951 §3.1.1.
     fn write_huffman(&mut self, code: u32, n: u32) {
-        let mut rev = 0u32;
-        for i in 0..n {
-            rev |= ((code >> i) & 1) << (n - 1 - i);
-        }
-        self.write_bits(rev, n);
+        self.write_bits(reverse_bits(code, n), n);
     }
 
     /// Pads to a byte boundary with zero bits.
@@ -134,66 +131,98 @@ impl BitWriter {
     }
 }
 
-struct BitReader<'a> {
-    input: &'a [u8],
-    pos: usize,
-    bit_buf: u32,
-    bit_count: u32,
+/// Reverses the low `n` bits of `code` (Huffman codes are MSB-first inside
+/// an LSB-first bit stream).
+const fn reverse_bits(code: u32, n: u32) -> u32 {
+    let mut rev = 0;
+    let mut i = 0;
+    while i < n {
+        rev |= ((code >> i) & 1) << (n - 1 - i);
+        i += 1;
+    }
+    rev
 }
 
-impl<'a> BitReader<'a> {
+/// LSB-first bit reader over a 64-bit buffer refilled a word at a time.
+///
+/// `pos` is the first input byte not yet wholly in `buf`. A word refill
+/// may also load the low bits of that byte above `count`; those are the
+/// stream's true next bits, and once the input is exhausted every bit at
+/// or above `count` is zero. So a peek past `count` never invents bits.
+struct BitBuf<'a> {
+    input: &'a [u8],
+    pos: usize,
+    buf: u64,
+    count: u32,
+}
+
+impl<'a> BitBuf<'a> {
     fn new(input: &'a [u8]) -> Self {
-        BitReader {
+        BitBuf {
             input,
             pos: 0,
-            bit_buf: 0,
-            bit_count: 0,
+            buf: 0,
+            count: 0,
         }
     }
 
-    fn read_bits(&mut self, n: u32) -> Result<u32, DeflateError> {
-        while self.bit_count < n {
-            let byte = *self
-                .input
-                .get(self.pos)
-                .ok_or(DeflateError::UnexpectedEof)?;
-            self.pos += 1;
-            self.bit_buf |= (byte as u32) << self.bit_count;
-            self.bit_count += 8;
+    /// Tops the buffer up to at least 56 bits, or to every remaining bit
+    /// at the end of the input.
+    #[inline(always)]
+    fn refill(&mut self) {
+        let word = self
+            .input
+            .get(self.pos..)
+            .and_then(<[u8]>::first_chunk::<8>);
+        if let Some(word) = word {
+            self.buf |= u64::from_le_bytes(*word) << self.count;
+            let whole = (63 - self.count) / 8;
+            self.pos += whole as usize;
+            self.count += whole * 8;
+        } else {
+            while self.count <= 56 {
+                let Some(&byte) = self.input.get(self.pos) else {
+                    break;
+                };
+                self.buf |= u64::from(byte) << self.count;
+                self.pos += 1;
+                self.count += 8;
+            }
         }
-        let value = self.bit_buf & ((1u32 << n) - 1);
-        self.bit_buf >>= n;
-        self.bit_count -= n;
+    }
+
+    /// Consumes `n <= 32` buffered bits, LSB first.
+    #[inline(always)]
+    fn take(&mut self, n: u32) -> Result<u32, DeflateError> {
+        if n > self.count {
+            return Err(DeflateError::UnexpectedEof);
+        }
+        let value = (self.buf & ((1u64 << n) - 1)) as u32;
+        self.buf >>= n;
+        self.count -= n;
         Ok(value)
     }
 
-    /// Reads one bit and appends it to `code` as the new LSB (codes are
-    /// MSB-first on the wire).
-    fn read_code_bit(&mut self, code: u32) -> Result<u32, DeflateError> {
-        Ok((code << 1) | self.read_bits(1)?)
-    }
-
-    fn align_byte(&mut self) {
-        self.bit_buf = 0;
-        self.bit_count = 0;
-    }
-
-    fn read_u16_le(&mut self) -> Result<u16, DeflateError> {
-        let raw = self.read_raw(2)?;
-        match *raw {
-            [lo, hi] => Ok(u16::from_le_bytes([lo, hi])),
-            _ => Err(DeflateError::UnexpectedEof),
+    /// Skips to the next byte boundary and reads a stored block's
+    /// `LEN`/`NLEN` header and payload straight from the input.
+    fn stored_block(&mut self) -> Result<&'a [u8], DeflateError> {
+        // Hand the buffered whole bytes back to the input.
+        self.pos -= (self.count / 8) as usize;
+        self.buf = 0;
+        self.count = 0;
+        let rest = self.input.get(self.pos..).unwrap_or_default();
+        let Some(&[l0, l1, n0, n1]) = rest.first_chunk::<4>() else {
+            return Err(DeflateError::UnexpectedEof);
+        };
+        let len = u16::from_le_bytes([l0, l1]);
+        if !len != u16::from_le_bytes([n0, n1]) {
+            return Err(DeflateError::StoredLengthMismatch);
         }
-    }
-
-    fn read_raw(&mut self, n: usize) -> Result<&'a [u8], DeflateError> {
-        let end = self.pos.checked_add(n).ok_or(DeflateError::UnexpectedEof)?;
-        let s = self
-            .input
-            .get(self.pos..end)
+        let raw = rest
+            .get(4..4 + len as usize)
             .ok_or(DeflateError::UnexpectedEof)?;
-        self.pos = end;
-        Ok(s)
+        self.pos += 4 + raw.len();
+        Ok(raw)
     }
 }
 
@@ -289,15 +318,46 @@ fn dist_to_code(dist: usize) -> (usize, u16, u8) {
 }
 
 /// Fixed-Huffman code for a literal/length symbol (RFC 1951 §3.2.6).
-fn fixed_litlen_code(sym: usize) -> (u32, u32) {
+const fn fixed_litlen_code(sym: usize) -> (u32, u32) {
     match sym {
         0..=143 => (0b00110000 + sym as u32, 8),
         144..=255 => (0b110010000 + (sym - 144) as u32, 9),
         256..=279 => ((sym - 256) as u32, 7),
         280..=287 => (0b11000000 + (sym - 280) as u32, 8),
-        _ => unreachable!("bad litlen symbol {sym}"),
+        _ => panic!("bad litlen symbol"),
     }
 }
+
+/// The fixed literal/length code as a lookup keyed by the next 9 stream
+/// bits: entry `sym | code_len << 9`. The code is complete, so every key
+/// names a symbol; the bits past its code length are don't-cares.
+const FIXED_LITLEN_LUT: [u16; 512] = {
+    let mut lut = [0u16; 512];
+    let mut sym = 0;
+    while sym < 288 {
+        let (code, n) = fixed_litlen_code(sym);
+        let rev = reverse_bits(code, n);
+        let mut high = 0;
+        while high < 1 << (9 - n) {
+            lut[(rev | high << n) as usize] = sym as u16 | (n as u16) << 9;
+            high += 1;
+        }
+        sym += 1;
+    }
+    lut
+};
+
+/// `DIST_TABLE` keyed by the next 5 stream bits (the fixed 5-bit distance
+/// code, bit-reversed); codes 30 and 31 are invalid.
+const FIXED_DIST_LUT: [Option<(u16, u8)>; 32] = {
+    let mut lut = [None; 32];
+    let mut code = 0;
+    while code < DIST_TABLE.len() {
+        lut[reverse_bits(code as u32, 5) as usize] = Some(DIST_TABLE[code]);
+        code += 1;
+    }
+    lut
+};
 
 // ---------------------------------------------------------------------------
 // LZ77 token stream.
@@ -462,7 +522,20 @@ impl Compressor {
         // Try fixed-Huffman first.
         self.tokenize(data);
         let mut w = BitWriter::new();
-        w.write_bits(1, 1); // BFINAL
+        self.write_fixed_block(&mut w, true);
+        let fixed = w.into_bytes();
+
+        if fixed.len() <= stored_size(data.len()) {
+            fixed
+        } else {
+            compress_stored(data)
+        }
+    }
+
+    /// Emits the tokens of the last [`Compressor::tokenize`] as one
+    /// fixed-Huffman block.
+    fn write_fixed_block(&self, w: &mut BitWriter, last: bool) {
+        w.write_bits(last as u32, 1); // BFINAL
         w.write_bits(0b01, 2); // BTYPE = fixed Huffman
         for t in &self.tokens {
             match *t {
@@ -483,13 +556,6 @@ impl Compressor {
         }
         let (eob, eobn) = fixed_litlen_code(256);
         w.write_huffman(eob, eobn);
-        let fixed = w.into_bytes();
-
-        if fixed.len() <= stored_size(data.len()) {
-            fixed
-        } else {
-            compress_stored(data)
-        }
     }
 }
 
@@ -541,6 +607,12 @@ pub fn compress_stored(data: &[u8]) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// Output bytes reserved per input byte before decoding: preprocessed
+/// sidecars inflate about 7-fold. A stream that inflates further grows its
+/// output as it decodes, so the up-front reservation stays bounded by the
+/// input's length.
+const RESERVE_PER_INPUT_BYTE: usize = 8;
+
 /// Decompresses a raw DEFLATE stream produced by [`compress`] (stored and
 /// fixed-Huffman blocks).
 ///
@@ -549,22 +621,15 @@ pub fn compress_stored(data: &[u8]) -> Vec<u8> {
 /// Returns a [`DeflateError`] if the stream is truncated, corrupt, or uses
 /// dynamic Huffman blocks.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
-    let mut r = BitReader::new(data);
-    let mut out = Vec::new();
+    let mut bits = BitBuf::new(data);
+    let mut out = Vec::with_capacity(data.len().saturating_mul(RESERVE_PER_INPUT_BYTE));
     loop {
-        let bfinal = r.read_bits(1)?;
-        let btype = r.read_bits(2)?;
+        bits.refill();
+        let bfinal = bits.take(1)?;
+        let btype = bits.take(2)?;
         match btype {
-            0b00 => {
-                r.align_byte();
-                let len = r.read_u16_le()? as usize;
-                let nlen = r.read_u16_le()?;
-                if !(len as u16) != nlen {
-                    return Err(DeflateError::StoredLengthMismatch);
-                }
-                out.extend_from_slice(r.read_raw(len)?);
-            }
-            0b01 => decode_fixed_block(&mut r, &mut out)?,
+            0b00 => out.extend_from_slice(bits.stored_block()?),
+            0b01 => inflate_fixed_block(&mut bits, &mut out)?,
             0b10 => return Err(DeflateError::DynamicHuffmanUnsupported),
             _ => return Err(DeflateError::ReservedBlockType),
         }
@@ -574,59 +639,58 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
     }
 }
 
-fn decode_fixed_litlen(r: &mut BitReader<'_>) -> Result<usize, DeflateError> {
-    // Canonical fixed code: 7-bit codes 0..=0x17 are 256..=279; extend to
-    // 8 bits for 0x30..=0xBF (0..=143) and 0xC0..=0xC7 (280..=287); extend
-    // to 9 bits for 0x190..=0x1FF (144..=255).
-    let mut code = 0u32;
-    for _ in 0..7 {
-        code = r.read_code_bit(code)?;
+/// Decodes one fixed-Huffman block up to its end-of-block symbol. One
+/// refill per symbol covers the longest one: a 9-bit code, 5 length extra
+/// bits, a 5-bit distance code and 13 distance extra bits.
+fn inflate_fixed_block(bits: &mut BitBuf<'_>, out: &mut Vec<u8>) -> Result<(), DeflateError> {
+    loop {
+        bits.refill();
+        let Some(&entry) = FIXED_LITLEN_LUT.get((bits.buf & 0x1FF) as usize) else {
+            return Err(DeflateError::BadSymbol);
+        };
+        bits.take(u32::from(entry >> 9))?;
+        let sym = usize::from(entry & 0x1FF);
+        if sym < 256 {
+            out.push(sym as u8);
+            continue;
+        }
+        if sym == 256 {
+            return Ok(());
+        }
+        // 286 and 287 have codes but no meaning.
+        let Some(&(base, extra)) = LENGTH_TABLE.get(sym - 257) else {
+            return Err(DeflateError::BadSymbol);
+        };
+        let len = usize::from(base) + bits.take(u32::from(extra))? as usize;
+        let Some(&Some((dbase, dextra))) = FIXED_DIST_LUT.get(bits.take(5)? as usize) else {
+            return Err(DeflateError::BadSymbol);
+        };
+        let dist = usize::from(dbase) + bits.take(u32::from(dextra))? as usize;
+        let start = out
+            .len()
+            .checked_sub(dist)
+            .ok_or(DeflateError::BadDistance)?;
+        copy_match(out, start, len);
     }
-    if code <= 0x17 {
-        return Ok(256 + code as usize);
-    }
-    code = r.read_code_bit(code)?;
-    if (0x30..=0xBF).contains(&code) {
-        return Ok(code as usize - 0x30);
-    }
-    if (0xC0..=0xC7).contains(&code) {
-        return Ok(280 + code as usize - 0xC0);
-    }
-    code = r.read_code_bit(code)?;
-    if (0x190..=0x1FF).contains(&code) {
-        return Ok(144 + code as usize - 0x190);
-    }
-    Err(DeflateError::BadSymbol)
 }
 
-fn decode_fixed_block(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), DeflateError> {
-    loop {
-        let sym = decode_fixed_litlen(r)?;
-        match sym {
-            0..=255 => out.push(sym as u8),
-            256 => return Ok(()),
-            257..=285 => {
-                let &(base, extra) = LENGTH_TABLE.get(sym - 257).ok_or(DeflateError::BadSymbol)?;
-                let len = base as usize + r.read_bits(extra as u32)? as usize;
-                // Distance: 5-bit fixed code, MSB-first.
-                let mut dcode = 0u32;
-                for _ in 0..5 {
-                    dcode = r.read_code_bit(dcode)?;
-                }
-                let &(dbase, dextra) = DIST_TABLE
-                    .get(dcode as usize)
-                    .ok_or(DeflateError::BadSymbol)?;
-                let dist = dbase as usize + r.read_bits(dextra as u32)? as usize;
-                if dist == 0 || dist > out.len() {
-                    return Err(DeflateError::BadDistance);
-                }
-                let start = out.len() - dist;
-                for k in 0..len {
-                    let b = *out.get(start + k).ok_or(DeflateError::BadDistance)?;
-                    out.push(b);
-                }
-            }
-            _ => return Err(DeflateError::BadSymbol),
+/// Appends `len` bytes copied from `out[start..]`, where the source may
+/// overlap the bytes being appended (a run with period `out.len() - start`).
+#[inline(always)]
+fn copy_match(out: &mut Vec<u8>, start: usize, len: usize) {
+    debug_assert!(start < out.len(), "distance 0 never decodes");
+    let dist = out.len() - start;
+    if dist >= len {
+        out.extend_from_within(start..start + len);
+    } else if let (1, Some(&byte)) = (dist, out.last()) {
+        out.resize(out.len() + len, byte);
+    } else {
+        // Each copy doubles the periodic span available at `start`.
+        let mut left = len;
+        while left > 0 {
+            let n = left.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            left -= n;
         }
     }
 }
@@ -839,17 +903,184 @@ pub fn decompress_framed_with(data: &[u8], threads: usize) -> Result<Vec<u8>, De
         }
     }
 
-    let total: usize = entries.iter().map(|&(_, _, r)| r).sum();
+    // Size the output from chunks that decoded and passed their `raw_len`
+    // check, never from the directory's claims.
+    let chunks = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let total = chunks
+        .iter()
+        .try_fold(0usize, |sum, c| sum.checked_add(c.len()))
+        .ok_or(DeflateError::BadFrame)?;
     let mut out = Vec::with_capacity(total);
-    for r in results {
-        out.extend_from_slice(&r?);
+    for chunk in &chunks {
+        out.extend_from_slice(chunk);
     }
     Ok(out)
+}
+
+/// A bit-serial decoder: one bit per Huffman step, one byte per
+/// back-reference step. The oracle the tests hold the table-driven
+/// [`decompress`] to.
+#[cfg(test)]
+mod reference {
+    use super::{DeflateError, DIST_TABLE, LENGTH_TABLE};
+
+    struct BitReader<'a> {
+        input: &'a [u8],
+        pos: usize,
+        bit_buf: u32,
+        bit_count: u32,
+    }
+
+    impl<'a> BitReader<'a> {
+        fn new(input: &'a [u8]) -> Self {
+            BitReader {
+                input,
+                pos: 0,
+                bit_buf: 0,
+                bit_count: 0,
+            }
+        }
+
+        fn read_bits(&mut self, n: u32) -> Result<u32, DeflateError> {
+            while self.bit_count < n {
+                let byte = *self
+                    .input
+                    .get(self.pos)
+                    .ok_or(DeflateError::UnexpectedEof)?;
+                self.pos += 1;
+                self.bit_buf |= (byte as u32) << self.bit_count;
+                self.bit_count += 8;
+            }
+            let value = self.bit_buf & ((1u32 << n) - 1);
+            self.bit_buf >>= n;
+            self.bit_count -= n;
+            Ok(value)
+        }
+
+        /// Reads one bit and appends it to `code` as the new LSB (codes are
+        /// MSB-first on the wire).
+        fn read_code_bit(&mut self, code: u32) -> Result<u32, DeflateError> {
+            Ok((code << 1) | self.read_bits(1)?)
+        }
+
+        fn align_byte(&mut self) {
+            self.bit_buf = 0;
+            self.bit_count = 0;
+        }
+
+        fn read_u16_le(&mut self) -> Result<u16, DeflateError> {
+            let raw = self.read_raw(2)?;
+            match *raw {
+                [lo, hi] => Ok(u16::from_le_bytes([lo, hi])),
+                _ => Err(DeflateError::UnexpectedEof),
+            }
+        }
+
+        fn read_raw(&mut self, n: usize) -> Result<&'a [u8], DeflateError> {
+            let end = self.pos.checked_add(n).ok_or(DeflateError::UnexpectedEof)?;
+            let s = self
+                .input
+                .get(self.pos..end)
+                .ok_or(DeflateError::UnexpectedEof)?;
+            self.pos = end;
+            Ok(s)
+        }
+    }
+
+    /// The decoder [`super::decompress`] must agree with, `Result` for
+    /// `Result`.
+    pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
+        let mut r = BitReader::new(data);
+        let mut out = Vec::new();
+        loop {
+            let bfinal = r.read_bits(1)?;
+            let btype = r.read_bits(2)?;
+            match btype {
+                0b00 => {
+                    r.align_byte();
+                    let len = r.read_u16_le()? as usize;
+                    let nlen = r.read_u16_le()?;
+                    if !(len as u16) != nlen {
+                        return Err(DeflateError::StoredLengthMismatch);
+                    }
+                    out.extend_from_slice(r.read_raw(len)?);
+                }
+                0b01 => decode_fixed_block(&mut r, &mut out)?,
+                0b10 => return Err(DeflateError::DynamicHuffmanUnsupported),
+                _ => return Err(DeflateError::ReservedBlockType),
+            }
+            if bfinal == 1 {
+                return Ok(out);
+            }
+        }
+    }
+
+    fn decode_fixed_litlen(r: &mut BitReader<'_>) -> Result<usize, DeflateError> {
+        // Canonical fixed code: 7-bit codes 0..=0x17 are 256..=279; extend to
+        // 8 bits for 0x30..=0xBF (0..=143) and 0xC0..=0xC7 (280..=287); extend
+        // to 9 bits for 0x190..=0x1FF (144..=255).
+        let mut code = 0u32;
+        for _ in 0..7 {
+            code = r.read_code_bit(code)?;
+        }
+        if code <= 0x17 {
+            return Ok(256 + code as usize);
+        }
+        code = r.read_code_bit(code)?;
+        if (0x30..=0xBF).contains(&code) {
+            return Ok(code as usize - 0x30);
+        }
+        if (0xC0..=0xC7).contains(&code) {
+            return Ok(280 + code as usize - 0xC0);
+        }
+        code = r.read_code_bit(code)?;
+        if (0x190..=0x1FF).contains(&code) {
+            return Ok(144 + code as usize - 0x190);
+        }
+        Err(DeflateError::BadSymbol)
+    }
+
+    fn decode_fixed_block(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), DeflateError> {
+        loop {
+            let sym = decode_fixed_litlen(r)?;
+            match sym {
+                0..=255 => out.push(sym as u8),
+                256 => return Ok(()),
+                257..=285 => {
+                    let &(base, extra) =
+                        LENGTH_TABLE.get(sym - 257).ok_or(DeflateError::BadSymbol)?;
+                    let len = base as usize + r.read_bits(extra as u32)? as usize;
+                    // Distance: 5-bit fixed code, MSB-first.
+                    let mut dcode = 0u32;
+                    for _ in 0..5 {
+                        dcode = r.read_code_bit(dcode)?;
+                    }
+                    let &(dbase, dextra) = DIST_TABLE
+                        .get(dcode as usize)
+                        .ok_or(DeflateError::BadSymbol)?;
+                    let dist = dbase as usize + r.read_bits(dextra as u32)? as usize;
+                    if dist == 0 || dist > out.len() {
+                        return Err(DeflateError::BadDistance);
+                    }
+                    let start = out.len() - dist;
+                    for k in 0..len {
+                        let b = *out.get(start + k).ok_or(DeflateError::BadDistance)?;
+                        out.push(b);
+                    }
+                }
+                _ => return Err(DeflateError::BadSymbol),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::photo::preprocessed_binary;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn roundtrip(data: &[u8]) {
         let c = compress(data);
@@ -1054,6 +1285,163 @@ mod tests {
         // Inflate a chunk's claimed raw length.
         framed[8 + 4] ^= 0x01; // first directory entry's raw_len
         assert_eq!(decompress_framed(&framed), Err(DeflateError::BadFrame));
+    }
+
+    /// A frame of `count` copies of `member`, each claiming
+    /// `raw_len = u32::MAX`: 274 GB for 64 members if the directory were
+    /// trusted.
+    fn frame_of_lying_members(count: u32, member: &[u8]) -> Vec<u8> {
+        let mut frame = FRAME_MAGIC.to_vec();
+        frame.extend_from_slice(&count.to_le_bytes());
+        for _ in 0..count {
+            frame.extend_from_slice(&(member.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        }
+        for _ in 0..count {
+            frame.extend_from_slice(member);
+        }
+        frame
+    }
+
+    #[test]
+    fn frame_bomb_is_rejected_without_allocating_its_claims() {
+        // The 584-byte frame that used to abort the process: the 1-byte
+        // member 0x03 opens a fixed block and ends before its
+        // end-of-block code.
+        let truncated = frame_of_lying_members(64, &[0x03]);
+        assert_eq!(truncated.len(), 584);
+        // Each member a complete empty fixed block, so only the raw_len
+        // check can reject it.
+        let empty = frame_of_lying_members(64, &compress(&[]));
+        assert_eq!(compress(&[]), [0x03, 0x00]);
+        for threads in [1, 2] {
+            assert_eq!(
+                decompress_framed_with(&truncated, threads),
+                Err(DeflateError::UnexpectedEof)
+            );
+            assert_eq!(
+                decompress_framed_with(&empty, threads),
+                Err(DeflateError::BadFrame)
+            );
+        }
+    }
+
+    #[test]
+    fn stored_block_after_fixed_block_realigns() {
+        // A fixed block that ends mid-byte, then a stored block: the
+        // decoder must hand back the bytes its word refill read ahead.
+        let parts: [(bool, &[u8]); 3] = [(false, b"abcabcabc"), (true, b"xyz"), (false, b"q")];
+        let stream = multi_block(&parts);
+        assert_eq!(decompress(&stream).unwrap(), b"abcabcabcxyzq");
+        assert_eq!(decompress(&stream), reference::decompress(&stream));
+    }
+
+    /// A stream of one block per part: stored when the flag is set, else
+    /// fixed-Huffman. The compressor itself only ever emits one kind.
+    fn multi_block(parts: &[(bool, &[u8])]) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        let mut c = Compressor::new();
+        for (i, &(stored, data)) in parts.iter().enumerate() {
+            let last = i + 1 == parts.len();
+            if stored {
+                w.write_bits(last as u32, 1);
+                w.write_bits(0b00, 2);
+                w.align_byte();
+                let len = data.len() as u16;
+                w.out.extend_from_slice(&len.to_le_bytes());
+                w.out.extend_from_slice(&(!len).to_le_bytes());
+                w.out.extend_from_slice(data);
+            } else {
+                c.tokenize(data);
+                c.write_fixed_block(&mut w, last);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Same input families as `tests/deflate_props.rs`.
+    fn structured_inputs() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..2048),
+            (any::<u8>(), 1usize..4096).prop_map(|(b, n)| vec![b; n]),
+            (prop::collection::vec(any::<u8>(), 1..16), 1usize..256)
+                .prop_map(|(phrase, reps)| phrase.repeat(reps)),
+            (1usize..512, prop::collection::vec(any::<u8>(), 0..512)).prop_map(|(n, tail)| {
+                let mut v = vec![0xAB; n];
+                v.extend(tail);
+                v
+            }),
+            (0usize..2048).prop_map(|n| (0..n).map(|i| (i % 251) as u8).collect()),
+        ]
+    }
+
+    /// Asserts the table-driven decoder equals the bit-serial reference,
+    /// `Result` for `Result`, on `stream`, on every truncation of it, and
+    /// on the single-bit flip at each of `flips` (taken modulo the
+    /// stream's bit length).
+    fn assert_matches_reference(stream: &[u8], flips: &[usize]) -> Result<(), TestCaseError> {
+        let agree = |s: &[u8], what: String| -> Result<(), TestCaseError> {
+            let (got, want) = (decompress(s), reference::decompress(s));
+            prop_assert!(
+                got == want,
+                "{what}: got {:?}, reference {:?}",
+                got.as_ref().map(Vec::len),
+                want.as_ref().map(Vec::len)
+            );
+            Ok(())
+        };
+        for cut in 0..=stream.len() {
+            agree(&stream[..cut], format!("truncated to {cut} bytes"))?;
+        }
+        for &flip in flips {
+            let bit = flip % (stream.len() * 8);
+            let mut s = stream.to_vec();
+            s[bit / 8] ^= 1 << (bit % 8);
+            agree(&s, format!("bit {bit} flipped"))?;
+        }
+        Ok(())
+    }
+
+    fn flips() -> impl Strategy<Value = Vec<usize>> {
+        prop::collection::vec(any::<usize>(), 1..32)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn oracle_structured(data in structured_inputs(), flips in flips()) {
+            assert_matches_reference(&compress(&data), &flips)?;
+        }
+
+        #[test]
+        fn oracle_stored(data in prop::collection::vec(any::<u8>(), 0..2048), flips in flips()) {
+            assert_matches_reference(&compress_stored(&data), &flips)?;
+        }
+
+        #[test]
+        fn oracle_mixed_blocks(
+            parts in prop::collection::vec(
+                (any::<bool>(), prop::collection::vec(0u8..4, 0..300)),
+                1..5,
+            ),
+            flips in flips(),
+        ) {
+            let parts: Vec<(bool, &[u8])> =
+                parts.iter().map(|(stored, d)| (*stored, d.as_slice())).collect();
+            assert_matches_reference(&multi_block(&parts), &flips)?;
+        }
+    }
+
+    proptest! {
+        // Every truncation of a 4-16 KiB sidecar is a few thousand decodes.
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn oracle_sidecars(bytes in 4096usize..=16384, seed in any::<u64>(), flips in flips()) {
+            let bin = preprocessed_binary(bytes, &mut StdRng::seed_from_u64(seed));
+            assert_matches_reference(&compress(&bin), &flips)?;
+        }
     }
 
     #[test]

@@ -45,10 +45,22 @@ proptest! {
     }
 
     /// Decompressing arbitrary garbage never panics — it either errors
-    /// or produces some bytes, but must not crash.
+    /// or produces some bytes, but must not crash. Nor do bit flips of a
+    /// valid stream, which reach past the block header into the symbol,
+    /// length and distance decoding that garbage rarely gets to.
     #[test]
-    fn decompress_never_panics(garbage in prop::collection::vec(any::<u8>(), 0..512)) {
+    fn decompress_never_panics(
+        garbage in prop::collection::vec(any::<u8>(), 0..512),
+        valid in structured_inputs(),
+        flips in prop::collection::vec(any::<usize>(), 1..16),
+    ) {
         let _ = decompress(&garbage);
+        let mut packed = compress(&valid);
+        for flip in flips {
+            let bit = flip % (packed.len() * 8);
+            packed[bit / 8] ^= 1 << (bit % 8);
+            let _ = decompress(&packed);
+        }
     }
 
     /// Compression is deterministic.

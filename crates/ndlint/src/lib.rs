@@ -245,12 +245,11 @@ impl Config {
                         "decompress_framed".into(),
                         "decompress_framed_with".into(),
                         "frame_u32".into(),
-                        "decode_fixed_block".into(),
-                        "decode_fixed_litlen".into(),
-                        "read_bits".into(),
-                        "read_code_bit".into(),
-                        "read_u16_le".into(),
-                        "read_raw".into(),
+                        "inflate_fixed_block".into(),
+                        "copy_match".into(),
+                        "refill".into(),
+                        "take".into(),
+                        "stored_block".into(),
                     ]),
                 },
             ],

@@ -14,6 +14,9 @@ cargo test -q --release --workspace
 # flips the process-default MathPolicy, so every non-pinned GEMM in the
 # tests runs through the FMA/AVX-512 kernels.
 NDPIPE_MATH=fast cargo test -q --release --workspace
+# The end-to-end benchmark is its own workspace (it builds against the
+# crates by path), so --workspace above does not reach its tests.
+cargo test --release --offline --manifest-path ndbench/Cargo.toml
 # Static pass: machine-readable report diffed against the checked-in
 # baseline (fails on new findings), archived next to the bench JSON,
 # plus the wall-clock budget artifact (< 5 s for the whole workspace).
