@@ -693,25 +693,39 @@ pub(crate) fn schedule<S: ShardSource, R: Rng + ?Sized>(
         pipe.pump(|p| p.remaining.get(g).is_none_or(|&r| r == 0))?;
         bubble_secs += t0.elapsed().as_secs_f64();
 
-        // Run g's features in (node, micro-batch) order.
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
+        // Run g's features in (node, micro-batch) order: each micro-batch
+        // is a row-major `[labels, width]` matrix, so appending their data
+        // stacks the run's rows.
         let gathered = pipe
             .slots
             .get_mut(g)
             .map(std::mem::take)
             .unwrap_or_default();
+        let total: usize = gathered.values().map(|(_, l)| l.len()).sum();
+        let width = gathered
+            .values()
+            .filter(|(_, l)| !l.is_empty())
+            .find_map(|(f, _)| f.dims().get(1).copied())
+            .unwrap_or(0);
+        let mut data = Vec::with_capacity(total * width);
+        let mut labels = Vec::with_capacity(total);
         for (features, l) in gathered.into_values() {
-            for i in 0..l.len() {
-                rows.push(features.row(i));
+            if l.is_empty() {
+                continue;
             }
+            if features.dims() != [l.len(), width] {
+                return Err(Aborted::Lost(
+                    "extracted features do not match their labels",
+                ));
+            }
+            data.extend_from_slice(features.data());
             labels.extend(l);
         }
-        if rows.is_empty() {
+        if labels.is_empty() {
             return Err(Aborted::Lost("no features survived for a run"));
         }
         examples += labels.len();
-        let features = Tensor::stack_rows(&rows);
+        let features = Tensor::from_vec(data, &[labels.len(), width]);
 
         // Train run g here while a helper keeps the executors busy with
         // the runs the staleness bound already admits; the helper's

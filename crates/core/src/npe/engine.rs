@@ -18,10 +18,19 @@
 //! can be validated against wall-clock reality: `sum(busy)` approximates
 //! serial execution, `wall` the pipelined one, and per-stage occupancy
 //! shows which stage binds.
+//!
+//! Items cross the stage boundaries in chunks of up to `CHUNK`: one
+//! channel send, one wake-up and one reorder-buffer entry then cover a
+//! chunk instead of a single item, so the hand-off stays small next to the
+//! per-item work (a sidecar inflate of a few microseconds). Decode errors
+//! and panics are still contained per item.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Most items one inter-stage hand-off carries.
+const CHUNK: usize = 16;
 
 /// Configuration of the threaded 3-stage pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -57,10 +66,11 @@ pub struct StageStats {
 }
 
 /// Queue-depth sampling of one inter-stage channel: the loader samples
-/// the load→decode queue at each send, the FE stage samples the
-/// decode→FE queue at each receive. Sampling is skipped entirely while
-/// [`telemetry::enabled`] is off, so the uninstrumented baseline pays
-/// nothing.
+/// the load→decode queue at each chunk send, the FE stage samples the
+/// decode→FE queue at each chunk receive, once per item the chunk
+/// carries. Depths are in items (queued chunks × chunk length).
+/// Sampling is skipped entirely while [`telemetry::enabled`] is off, so
+/// the uninstrumented baseline pays nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueStats {
     /// Number of depth samples taken.
@@ -72,9 +82,10 @@ pub struct QueueStats {
 }
 
 impl QueueStats {
-    fn record(&mut self, depth: usize) {
-        self.samples += 1;
-        self.depth_sum += depth as u64;
+    /// Books `n` samples of the same `depth` (one per item of a chunk).
+    fn record(&mut self, n: usize, depth: usize) {
+        self.samples += n;
+        self.depth_sum += (depth * n) as u64;
         self.depth_max = self.depth_max.max(depth);
     }
 
@@ -101,9 +112,9 @@ pub struct PipelineStats {
     pub batches: usize,
     /// End-to-end wall-clock seconds.
     pub wall_secs: f64,
-    /// Depth of the load→decode queue, sampled at each send.
+    /// Depth of the load→decode queue, sampled once per loaded item.
     pub in_queue: QueueStats,
-    /// Depth of the decode→FE queue, sampled at each receive.
+    /// Depth of the decode→FE queue, sampled once per received item.
     pub mid_queue: QueueStats,
     /// Items dropped because their decode failed (an `Err` from the
     /// decode fn, or a decode panic contained by the pool worker).
@@ -219,11 +230,15 @@ where
     let batch = cfg.batch.max(1);
     let workers = cfg.decomp_workers.max(1);
     let depth = cfg.queue_depth.max(1);
+    // Chunk channels hold `slots` chunks of at most `chunk` items, so a
+    // queue never holds more than `queue_depth` items.
+    let slots = depth.div_ceil(CHUNK);
+    let chunk = depth / slots;
 
     // ndlint: policy(block, reason = "inter-stage backpressure is the design: a slow decode pool stalls the loader at queue_depth instead of buffering the shard")
-    let (tx_in, rx_in) = crossbeam::channel::bounded::<(usize, I)>(depth);
+    let (tx_in, rx_in) = crossbeam::channel::bounded::<(usize, Vec<I>)>(slots);
     // ndlint: policy(block, reason = "same backpressure contract for decode -> FE; the FE stage drains in submission order via the reorder window")
-    let (tx_mid, rx_mid) = crossbeam::channel::bounded::<(usize, Result<M, String>)>(depth);
+    let (tx_mid, rx_mid) = crossbeam::channel::bounded::<(usize, Vec<Result<M, String>>)>(slots);
 
     let load_busy_ns = AtomicU64::new(0);
     let decode_busy_ns = AtomicU64::new(0);
@@ -241,7 +256,8 @@ where
     let start = Instant::now();
 
     crossbeam::thread::scope(|s| {
-        // Stage 1: loader.
+        // Stage 1: loader. Each chunk carries the index of its first item;
+        // the rest follow contiguously.
         {
             let load_busy_ns = &load_busy_ns;
             let loaded = &loaded;
@@ -253,18 +269,22 @@ where
                 let mut queue = QueueStats::default();
                 loop {
                     let t0 = Instant::now();
-                    let next = iter.next();
+                    let items: Vec<I> = iter.by_ref().take(chunk).collect();
                     // ndlint: allow(relaxed, reason = "monotonic busy-time tally; published to the caller by the scope join, not by this store")
                     load_busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let Some(item) = next else { break };
-                    if tx_in.send((idx, item)).is_err() {
+                    let n = items.len();
+                    if n == 0 {
+                        break;
+                    }
+                    if tx_in.send((idx, items)).is_err() {
                         break; // all consumers gone (a stage panicked)
                     }
-                    crate::sanitize::channel_depth("npe.load", tx_in.len(), depth);
+                    let queued = tx_in.len();
+                    crate::sanitize::channel_depth("npe.load", queued, slots);
                     if sample_queues {
-                        queue.record(tx_in.len());
+                        queue.record(n, queued * chunk);
                     }
-                    idx += 1;
+                    idx += n;
                 }
                 // Final publication of the loader's local tallies; Release
                 // pairs with the Acquire loads after the scope join.
@@ -276,7 +296,8 @@ where
             });
         }
 
-        // Stage 2: decode pool.
+        // Stage 2: decode pool. A worker decodes a whole chunk and hands
+        // it on as one chunk of per-item results.
         for _ in 0..workers {
             let rx_in = rx_in.clone();
             let tx_mid = tx_mid.clone();
@@ -284,23 +305,31 @@ where
             let decode_busy_ns = &decode_busy_ns;
             let decoded = &decoded;
             s.spawn(move |_| {
-                for (idx, item) in rx_in.iter() {
+                for (first, items) in rx_in.iter() {
                     let t0 = Instant::now();
-                    // Contain decode panics to this item: unwinding out of
-                    // a pool worker would silently shrink the pool and can
-                    // wedge the pipeline on a bounded channel.
-                    let m = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        decode(idx, item)
-                    }))
-                    .unwrap_or_else(|payload| Err(panic_message(&*payload)));
+                    let n = items.len();
+                    let out: Vec<Result<M, String>> = items
+                        .into_iter()
+                        .enumerate()
+                        .map(|(k, item)| {
+                            // Contain decode panics to this item: unwinding
+                            // out of a pool worker would silently shrink the
+                            // pool and can wedge the pipeline on a bounded
+                            // channel.
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                decode(first + k, item)
+                            }))
+                            .unwrap_or_else(|payload| Err(panic_message(&*payload)))
+                        })
+                        .collect();
                     // ndlint: allow(relaxed, reason = "monotonic busy-time and item tallies; published to the caller by the scope join")
                     decode_busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     // ndlint: allow(relaxed, reason = "monotonic item counter; published to the caller by the scope join")
-                    decoded.fetch_add(1, Ordering::Relaxed);
-                    if tx_mid.send((idx, m)).is_err() {
+                    decoded.fetch_add(n as u64, Ordering::Relaxed);
+                    if tx_mid.send((first, out)).is_err() {
                         break;
                     }
-                    crate::sanitize::channel_depth("npe.mid", tx_mid.len(), depth);
+                    crate::sanitize::channel_depth("npe.mid", tx_mid.len(), slots);
                 }
             });
         }
@@ -310,7 +339,7 @@ where
         // Stage 3 (this thread): reorder, batch, forward. Failed items
         // are dropped here (after restoring index order) so survivors
         // still batch deterministically.
-        let mut pending: BTreeMap<usize, Result<M, String>> = BTreeMap::new();
+        let mut pending: BTreeMap<usize, Vec<Result<M, String>>> = BTreeMap::new();
         let mut next = 0usize;
         let mut bucket: Vec<M> = Vec::with_capacity(batch);
         let mut flush = |bucket: &mut Vec<M>, results: &mut Vec<T>, stats: &mut PipelineStats| {
@@ -326,24 +355,26 @@ where
             stats.batches += 1;
             results.extend(out);
         };
-        for (idx, m) in rx_mid.iter() {
+        for (first, ms) in rx_mid.iter() {
             if sample_queues {
-                stats.mid_queue.record(rx_mid.len());
+                stats.mid_queue.record(ms.len(), rx_mid.len() * chunk);
             }
-            pending.insert(idx, m);
-            while let Some(m) = pending.remove(&next) {
-                next += 1;
-                match m {
-                    Ok(m) => {
-                        bucket.push(m);
-                        if bucket.len() == batch {
-                            flush(&mut bucket, &mut results, &mut stats);
+            pending.insert(first, ms);
+            while let Some(ms) = pending.remove(&next) {
+                next += ms.len();
+                for m in ms {
+                    match m {
+                        Ok(m) => {
+                            bucket.push(m);
+                            if bucket.len() == batch {
+                                flush(&mut bucket, &mut results, &mut stats);
+                            }
                         }
-                    }
-                    Err(e) => {
-                        stats.stage_errors += 1;
-                        if stats.first_error.is_none() {
-                            stats.first_error = Some(e);
+                        Err(e) => {
+                            stats.stage_errors += 1;
+                            if stats.first_error.is_none() {
+                                stats.first_error = Some(e);
+                            }
                         }
                     }
                 }
@@ -481,6 +512,69 @@ mod tests {
         assert_eq!(stats.mid_queue.samples, 64, "one sample per received item");
         assert!(stats.in_queue.depth_max <= 8, "bounded by queue_depth");
         assert!(stats.in_queue.mean() <= stats.in_queue.depth_max as f64);
+    }
+
+    #[test]
+    fn chunked_handoff_drains_below_one_chunk_of_depth() {
+        for workers in 1..=3 {
+            let c = EngineConfig {
+                batch: 5,
+                decomp_workers: workers,
+                queue_depth: 1,
+            };
+            let (out, stats) = run_pipeline(&c, 0..100u32, |_, x| x * 3, |b| b);
+            let expect: Vec<u32> = (0..100).map(|x| x * 3).collect();
+            assert_eq!(out, expect, "workers={workers}");
+            assert_eq!(stats.load.items, 100);
+            assert_eq!(stats.decode.items, 100);
+            assert_eq!(stats.batches, 20);
+        }
+    }
+
+    #[test]
+    fn queue_depth_bounds_queued_items_when_not_a_chunk_multiple() {
+        telemetry::set_enabled(true);
+        for depth in [3, CHUNK + 4, 3 * CHUNK - 1] {
+            let c = EngineConfig {
+                batch: 7,
+                decomp_workers: 2,
+                queue_depth: depth,
+            };
+            let (out, stats) = run_pipeline(&c, 0..200u32, |_, x| x, |b| b);
+            assert_eq!(out, (0..200).collect::<Vec<u32>>(), "depth={depth}");
+            assert_eq!(stats.in_queue.samples, 200);
+            assert!(stats.in_queue.depth_max <= depth, "depth={depth}");
+            assert!(stats.mid_queue.depth_max <= depth, "depth={depth}");
+        }
+    }
+
+    #[test]
+    fn decode_panic_mid_chunk_drops_only_that_item() {
+        for workers in [1, 2, 3] {
+            let c = EngineConfig {
+                batch: 8,
+                decomp_workers: workers,
+                queue_depth: 4 * CHUNK,
+            };
+            // Item 21 sits inside the second full chunk.
+            let (out, stats) = run_pipeline_fallible(
+                &c,
+                0..100u32,
+                |_, x| {
+                    if x == 21 {
+                        panic!("poisoned sidecar {x}");
+                    }
+                    Ok::<u32, String>(x)
+                },
+                |b| b,
+            );
+            let expect: Vec<u32> = (0..100).filter(|&x| x != 21).collect();
+            assert_eq!(out, expect, "workers={workers}");
+            assert_eq!(stats.stage_errors, 1);
+            assert_eq!(stats.decode.items, 100);
+            let msg = stats.first_error.expect("panic surfaced as error");
+            assert!(msg.contains("poisoned sidecar 21"), "msg: {msg}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 use tensor::{default_math_policy, MathPolicy, Tensor};
 
 /// Shard count of the photo map. Sixteen is plenty to decorrelate the
@@ -590,7 +591,7 @@ impl PipeStore {
     /// of) the local shard and returns `(features, labels)` to ship to
     /// the Tuner. Serial reference implementation — one forward over the
     /// whole slice; see [`PipeStore::extract_features_batched`] for the
-    /// pipelined production path.
+    /// batched production path.
     ///
     /// # Panics
     ///
@@ -604,10 +605,14 @@ impl PipeStore {
         (features, slice.labels().to_vec())
     }
 
-    /// [`PipeStore::extract_features`] through the threaded NPE engine:
-    /// rows stream through the 3-stage pipeline and the FE stage runs one
-    /// batched forward per [`EngineConfig::batch`] rows. Features and
-    /// labels are bit-identical to the serial path at any worker count.
+    /// [`PipeStore::extract_features`] as one batched forward per
+    /// [`EngineConfig::batch`] contiguous rows, straight from the shard's
+    /// feature matrix. The rows are already preprocessed, so there is no
+    /// decode stage to pipeline and no thread is spawned;
+    /// `decomp_workers` and `queue_depth` do not apply. Features and
+    /// labels are bit-identical to the serial path, and the returned
+    /// [`PipelineStats`] count every row through the load, decode and FE
+    /// stages, like an engine run.
     ///
     /// # Panics
     ///
@@ -654,31 +659,35 @@ impl PipeStore {
         }
         let model = self.model.as_ref().expect("no model installed");
         assert!(range.end <= shard.len(), "range out of bounds");
-        let feature_dim = model.feature_dim();
-        let (pairs, stats) = engine::run_pipeline(
-            cfg,
-            range,
-            // Decode stage: fetch the (already preprocessed) row — the
-            // FT-DMP path has no decompression work by design (§5.4's
-            // fine-tune task reads preprocessed binaries).
-            |_, i| (shard.features().row(i), shard.labels()[i]),
-            |batch: Vec<(Tensor, usize)>| {
-                let (rows, labels): (Vec<Tensor>, Vec<usize>) = batch.into_iter().unzip();
-                let x = Tensor::stack_rows(&rows);
-                let f = model.features_with(&x, self.math);
-                labels
-                    .into_iter()
-                    .enumerate()
-                    .map(|(r, l)| (f.row(r), l))
-                    .collect()
-            },
-        );
-        let (rows, labels): (Vec<Tensor>, Vec<usize>) = pairs.into_iter().unzip();
-        let features = if rows.is_empty() {
-            Tensor::zeros(&[0, feature_dim])
-        } else {
-            Tensor::stack_rows(&rows)
-        };
+        let start = Instant::now();
+        let range = range.start.min(range.end)..range.end;
+        let rows = range.len();
+        let batch = cfg.batch.max(1);
+        let x = shard.features();
+        let width = x.dims().get(1).copied().unwrap_or(0);
+        let mut features = Vec::with_capacity(rows * model.feature_dim());
+        let mut stats = PipelineStats::default();
+        // No decode stage: the FT-DMP path reads preprocessed rows (§5.4's
+        // fine-tune task), so each group of `batch` contiguous rows is
+        // copied out of the shard and run as one batched forward, in the
+        // same `[0..b)`, `[b..2b)`, … groups the NPE engine would form.
+        for lo in range.clone().step_by(batch) {
+            let hi = (lo + batch).min(range.end);
+            let t0 = Instant::now();
+            let group =
+                Tensor::from_vec(x.data()[lo * width..hi * width].to_vec(), &[hi - lo, width]);
+            let t1 = Instant::now();
+            features.extend_from_slice(model.features_with(&group, self.math).data());
+            stats.load.busy_secs += (t1 - t0).as_secs_f64();
+            stats.fe.busy_secs += t1.elapsed().as_secs_f64();
+            stats.batches += 1;
+        }
+        stats.load.items = rows;
+        stats.decode.items = rows;
+        stats.fe.items = rows;
+        stats.wall_secs = start.elapsed().as_secs_f64();
+        let features = Tensor::from_vec(features, &[rows, model.feature_dim()]);
+        let labels = shard.labels()[range].to_vec();
         self.record_npe(&stats);
         ((features, labels), stats)
     }
@@ -797,8 +806,9 @@ impl PipeStore {
         let photos = self.photos.snapshot();
         let mut out = Vec::with_capacity(photos.len());
         for (i, stored) in photos.iter().enumerate() {
-            let bin = deflate::decompress_framed(&stored.compressed_binary)
-                .expect("stored sidecar is valid deflate");
+            let bin =
+                deflate::decompress_framed_capped(&stored.compressed_binary, stored.preproc_bytes)
+                    .expect("stored sidecar is valid deflate");
             assert_eq!(bin.len(), stored.preproc_bytes, "sidecar corrupted");
             // Classify the corresponding shard row (photos and shard rows
             // are aligned by construction in `system`).
@@ -844,9 +854,11 @@ impl PipeStore {
             }),
             // Stage 2: real DEFLATE inflation + integrity check, then
             // pick the classification input (photos and shard rows are
-            // aligned by construction in `system`).
+            // aligned by construction in `system`). `preproc_bytes` came
+            // with the photo over the wire, so it caps the inflate but
+            // never sizes an allocation by itself.
             |_, (id, preproc_bytes, compressed, i)| {
-                let bin = deflate::decompress_framed(&compressed)
+                let bin = deflate::decompress_framed_capped(&compressed, preproc_bytes)
                     .map_err(|e| format!("photo {}: sidecar decompress failed: {e}", id.0))?;
                 if bin.len() != preproc_bytes {
                     return Err(format!(
@@ -1038,6 +1050,60 @@ mod tests {
             assert_eq!(f.data(), serial_f.data(), "batch={batch} workers={workers}");
             assert_eq!(l, serial_l);
             assert_eq!(stats.fe.items, 9);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Batched extraction equals the serial reference bit for bit over
+        /// any range (empty, ragged against `batch`, `batch = 1`), on the
+        /// store's own shard and on a replica shard, under both math
+        /// policies, in `ceil(n / batch)` forwards.
+        #[test]
+        fn batched_extraction_matches_the_serial_reference(
+            seed in 0u64..1_000,
+            a in 0usize..=40,
+            b in 0usize..=40,
+            batch in 1usize..12,
+            fast in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let policy = if fast { MathPolicy::Fast } else { MathPolicy::Deterministic };
+            let u = ndpipe_data::ClassUniverse::new(8, 4, 3, 0.2, &mut rng);
+            let rows: Vec<Tensor> = (0..40).map(|i| u.sample(i % 3, &mut rng)).collect();
+            let labels: Vec<usize> = (0..40).map(|i| i % 3).collect();
+            let owner_shard = LabeledDataset::new(rows, labels, 3);
+            let m = model(&mut rng);
+            let mut owner = PipeStore::new(1, owner_shard.clone());
+            owner.install_model(m.clone());
+            owner.set_math_policy(policy);
+            let mut replica = PipeStore::new(2, shard(&mut rng));
+            replica.install_model(m);
+            replica.set_math_policy(policy);
+            replica.add_replica_shard(1, owner_shard);
+
+            let range = a.min(b)..a.max(b);
+            let n = range.len();
+            let cfg = EngineConfig { batch, ..EngineConfig::default() };
+            let (want_f, want_l) = if n == 0 {
+                (Tensor::zeros(&[0, owner.model().expect("model").feature_dim()]), Vec::new())
+            } else {
+                owner.extract_features(range.clone())
+            };
+            let own = owner.extract_features_batched(range.clone(), &cfg);
+            let rerouted = replica
+                .extract_features_batched_for(1, range.clone(), &cfg)
+                .expect("replica shard attached");
+            for ((f, l), stats) in [own, rerouted] {
+                proptest::prop_assert_eq!(f.dims(), want_f.dims());
+                proptest::prop_assert_eq!(f.data(), want_f.data());
+                proptest::prop_assert_eq!(&l, &want_l);
+                proptest::prop_assert_eq!(stats.batches, n.div_ceil(batch));
+                proptest::prop_assert_eq!(stats.load.items, n);
+                proptest::prop_assert_eq!(stats.decode.items, n);
+                proptest::prop_assert_eq!(stats.fe.items, n);
+            }
         }
     }
 

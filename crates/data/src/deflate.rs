@@ -59,6 +59,9 @@ pub enum DeflateError {
     BadFrame,
     /// A decompression pool worker panicked; the output is unusable.
     WorkerPanicked,
+    /// The output would pass the caller's cap
+    /// ([`decompress_capped`], [`decompress_framed_capped`]).
+    OutputTooLarge,
 }
 
 impl std::fmt::Display for DeflateError {
@@ -74,6 +77,7 @@ impl std::fmt::Display for DeflateError {
             DeflateError::BadSymbol => write!(f, "invalid symbol in deflate stream"),
             DeflateError::BadFrame => write!(f, "chunked frame directory is corrupt"),
             DeflateError::WorkerPanicked => write!(f, "decompression worker panicked"),
+            DeflateError::OutputTooLarge => write!(f, "decompressed output exceeds its cap"),
         }
     }
 }
@@ -616,20 +620,43 @@ const RESERVE_PER_INPUT_BYTE: usize = 8;
 /// Decompresses a raw DEFLATE stream produced by [`compress`] (stored and
 /// fixed-Huffman blocks).
 ///
+/// The output is not capped: a fixed-Huffman stream of maximal matches
+/// inflates about 159-fold. Decoders of untrusted input that know the
+/// expected size use [`decompress_capped`].
+///
 /// # Errors
 ///
 /// Returns a [`DeflateError`] if the stream is truncated, corrupt, or uses
 /// dynamic Huffman blocks.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
+    decompress_capped(data, usize::MAX)
+}
+
+/// [`decompress`] that never produces more than `cap` bytes. The up-front
+/// reservation is `min(cap, 8 × input)`, so `cap` alone never sizes an
+/// allocation, and a block that would take the output past `cap` fails
+/// before the buffer grows.
+///
+/// # Errors
+///
+/// [`DeflateError::OutputTooLarge`] once the output would pass `cap`,
+/// otherwise the errors of [`decompress`].
+pub fn decompress_capped(data: &[u8], cap: usize) -> Result<Vec<u8>, DeflateError> {
     let mut bits = BitBuf::new(data);
-    let mut out = Vec::with_capacity(data.len().saturating_mul(RESERVE_PER_INPUT_BYTE));
+    let mut out = Vec::with_capacity(cap.min(data.len().saturating_mul(RESERVE_PER_INPUT_BYTE)));
     loop {
         bits.refill();
         let bfinal = bits.take(1)?;
         let btype = bits.take(2)?;
         match btype {
-            0b00 => out.extend_from_slice(bits.stored_block()?),
-            0b01 => inflate_fixed_block(&mut bits, &mut out)?,
+            0b00 => {
+                let block = bits.stored_block()?;
+                if block.len() > cap.saturating_sub(out.len()) {
+                    return Err(DeflateError::OutputTooLarge);
+                }
+                out.extend_from_slice(block);
+            }
+            0b01 => inflate_fixed_block(&mut bits, &mut out, cap)?,
             0b10 => return Err(DeflateError::DynamicHuffmanUnsupported),
             _ => return Err(DeflateError::ReservedBlockType),
         }
@@ -639,10 +666,15 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
     }
 }
 
-/// Decodes one fixed-Huffman block up to its end-of-block symbol. One
-/// refill per symbol covers the longest one: a 9-bit code, 5 length extra
-/// bits, a 5-bit distance code and 13 distance extra bits.
-fn inflate_fixed_block(bits: &mut BitBuf<'_>, out: &mut Vec<u8>) -> Result<(), DeflateError> {
+/// Decodes one fixed-Huffman block up to its end-of-block symbol, keeping
+/// `out` at most `cap` bytes long. One refill per symbol covers the
+/// longest one: a 9-bit code, 5 length extra bits, a 5-bit distance code
+/// and 13 distance extra bits.
+fn inflate_fixed_block(
+    bits: &mut BitBuf<'_>,
+    out: &mut Vec<u8>,
+    cap: usize,
+) -> Result<(), DeflateError> {
     loop {
         bits.refill();
         let Some(&entry) = FIXED_LITLEN_LUT.get((bits.buf & 0x1FF) as usize) else {
@@ -651,6 +683,9 @@ fn inflate_fixed_block(bits: &mut BitBuf<'_>, out: &mut Vec<u8>) -> Result<(), D
         bits.take(u32::from(entry >> 9))?;
         let sym = usize::from(entry & 0x1FF);
         if sym < 256 {
+            if out.len() >= cap {
+                return Err(DeflateError::OutputTooLarge);
+            }
             out.push(sym as u8);
             continue;
         }
@@ -670,6 +705,9 @@ fn inflate_fixed_block(bits: &mut BitBuf<'_>, out: &mut Vec<u8>) -> Result<(), D
             .len()
             .checked_sub(dist)
             .ok_or(DeflateError::BadDistance)?;
+        if len > cap.saturating_sub(out.len()) {
+            return Err(DeflateError::OutputTooLarge);
+        }
         copy_match(out, start, len);
     }
 }
@@ -817,6 +855,20 @@ pub fn decompress_framed(data: &[u8]) -> Result<Vec<u8>, DeflateError> {
     decompress_framed_with(data, configured_threads())
 }
 
+/// [`decompress_framed`] that never produces more than `cap` bytes, for
+/// callers that know the expected size (a photo sidecar's `preproc_bytes`).
+/// A plain stream decodes through [`decompress_capped`]; a frame whose
+/// directory claims more than `cap` in total is refused before any member
+/// inflates, and each member is capped at its own claim.
+///
+/// # Errors
+///
+/// [`DeflateError::OutputTooLarge`] when the output would pass `cap`,
+/// otherwise the errors of [`decompress_framed`].
+pub fn decompress_framed_capped(data: &[u8], cap: usize) -> Result<Vec<u8>, DeflateError> {
+    inflate_framed(data, configured_threads(), cap)
+}
+
 /// Reads a little-endian u32 from the frame directory without panicking
 /// on truncated input.
 fn frame_u32(data: &[u8], at: usize) -> Result<u32, DeflateError> {
@@ -831,8 +883,14 @@ fn frame_u32(data: &[u8], at: usize) -> Result<u32, DeflateError> {
 
 /// [`decompress_framed`] with an explicit worker count.
 pub fn decompress_framed_with(data: &[u8], threads: usize) -> Result<Vec<u8>, DeflateError> {
+    inflate_framed(data, threads, usize::MAX)
+}
+
+/// The framed decoder behind [`decompress_framed_with`] and
+/// [`decompress_framed_capped`].
+fn inflate_framed(data: &[u8], threads: usize, cap: usize) -> Result<Vec<u8>, DeflateError> {
     if data.len() < 8 || !data.starts_with(&FRAME_MAGIC) {
-        return decompress(data);
+        return decompress_capped(data, cap);
     }
     let count = frame_u32(data, 4)? as usize;
     let dir_end = 8usize
@@ -854,11 +912,24 @@ pub fn decompress_framed_with(data: &[u8], threads: usize) -> Result<Vec<u8>, De
     if offset != data.len() {
         return Err(DeflateError::BadFrame);
     }
+    let claimed = entries
+        .iter()
+        .try_fold(0usize, |sum, &(_, _, raw_len)| sum.checked_add(raw_len))
+        .ok_or(DeflateError::BadFrame)?;
+    if claimed > cap {
+        return Err(DeflateError::OutputTooLarge);
+    }
 
+    // A member may not inflate past its own claim: one that would has a
+    // directory entry that lies, so it fails as BadFrame as soon as it
+    // passes the claim instead of after decoding all of it.
     let inflate_one = |&(off, comp_len, raw_len): &(usize, usize, usize)| {
         let end = off.checked_add(comp_len).ok_or(DeflateError::BadFrame)?;
         let member = data.get(off..end).ok_or(DeflateError::BadFrame)?;
-        let chunk = decompress(member)?;
+        let chunk = decompress_capped(member, raw_len).map_err(|e| match e {
+            DeflateError::OutputTooLarge => DeflateError::BadFrame,
+            e => e,
+        })?;
         if chunk.len() != raw_len {
             return Err(DeflateError::BadFrame);
         }
@@ -1324,6 +1395,66 @@ mod tests {
                 Err(DeflateError::BadFrame)
             );
         }
+    }
+
+    #[test]
+    fn maximal_match_stream_stops_at_its_cap() {
+        // One literal, then length-258 distance-1 matches: ~160× expansion.
+        let data = vec![0u8; 1 << 20];
+        let stream = compress(&data);
+        assert!(stream.len() * 150 < data.len(), "{} bytes", stream.len());
+        for cap in [0, 1, 4096, data.len() - 1] {
+            assert_eq!(
+                decompress_capped(&stream, cap),
+                Err(DeflateError::OutputTooLarge),
+                "cap {cap}"
+            );
+        }
+        assert_eq!(decompress_capped(&stream, data.len()).unwrap(), data);
+        // So do literals and stored blocks.
+        let text = b"the quick brown fox jumps over a lazy dog";
+        let literals = compress(text);
+        assert_eq!(literals[0] & 0b110, 0b010, "a fixed-Huffman block");
+        assert_eq!(
+            decompress_capped(&literals, text.len() - 1),
+            Err(DeflateError::OutputTooLarge)
+        );
+        assert_eq!(decompress_capped(&literals, text.len()).unwrap(), text);
+        let stored = compress_stored(&data[..1000]);
+        assert_eq!(
+            decompress_capped(&stored, 999),
+            Err(DeflateError::OutputTooLarge)
+        );
+        assert_eq!(decompress_capped(&stored, 1000).unwrap(), &data[..1000]);
+    }
+
+    #[test]
+    fn framed_cap_covers_plain_streams_claims_and_lying_members() {
+        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 7) as u8).collect();
+        let framed = compress_chunked_with(&data, 64 * 1024, 2);
+        assert!(framed.starts_with(&FRAME_MAGIC));
+        assert_eq!(decompress_framed_capped(&framed, data.len()).unwrap(), data);
+        assert_eq!(
+            decompress_framed_capped(&framed, data.len() - 1),
+            Err(DeflateError::OutputTooLarge),
+            "directory claims past the cap"
+        );
+        let plain = compress(&data[..5000]);
+        assert_eq!(
+            decompress_framed_capped(&plain, 4999),
+            Err(DeflateError::OutputTooLarge)
+        );
+        // A member that inflates past its directory claim is a lying frame.
+        let mut liar = FRAME_MAGIC.to_vec();
+        let member = compress(&vec![0u8; 1 << 20]);
+        liar.extend_from_slice(&1u32.to_le_bytes());
+        liar.extend_from_slice(&(member.len() as u32).to_le_bytes());
+        liar.extend_from_slice(&10u32.to_le_bytes());
+        liar.extend_from_slice(&member);
+        assert_eq!(
+            decompress_framed_capped(&liar, usize::MAX),
+            Err(DeflateError::BadFrame)
+        );
     }
 
     #[test]

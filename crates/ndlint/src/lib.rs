@@ -242,8 +242,11 @@ impl Config {
                     file_suffix: "data/src/deflate.rs".into(),
                     filter: FnFilter::Named(vec![
                         "decompress".into(),
+                        "decompress_capped".into(),
                         "decompress_framed".into(),
+                        "decompress_framed_capped".into(),
                         "decompress_framed_with".into(),
+                        "inflate_framed".into(),
                         "frame_u32".into(),
                         "inflate_fixed_block".into(),
                         "copy_match".into(),

@@ -15,7 +15,8 @@
 //!
 //! For diagnostics each transitive fact carries a *witness*: the direct
 //! call site it entered through, so a finding can print the chain
-//! `handle -> extract_features_batched -> run_pipeline: recv()`.
+//! `handle -> offline_inference -> offline_inference_pipelined ->
+//! run_pipeline_fallible: recv()`.
 //!
 //! The module also computes **held regions**: token ranges of a body
 //! during which a lock guard is live. Guard extent heuristics:
@@ -208,7 +209,8 @@ pub fn summarize(files: &[SourceFile], graph: &CallGraph) -> Vec<FnSummary> {
 }
 
 /// Renders the witness chain for `kind` starting at node `id`, e.g.
-/// `extract_features_batched -> run_pipeline: channel recv at engine.rs:258`.
+/// `offline_inference_pipelined -> run_pipeline_fallible: channel recv at
+/// engine.rs:361`.
 pub fn blocking_chain(
     graph: &CallGraph,
     files: &[SourceFile],
